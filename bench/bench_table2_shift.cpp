@@ -12,9 +12,9 @@
 // tiny shifts explode `ex`) should hold.
 //
 // On top of the paper's single-chain sweep, every info point is re-run on
-// multi-chain scan fabrics (VCOMP_CHAINS, default "1,2,4"; VCOMP_PARTITION
-// picks the DFF→chain policy).  Multi-chain rows carry an "@c<N>" config
-// suffix in the table and the JSON records; the 1-chain rows keep their
+// multi-chain scan fabrics (VCOMP_CHAINS, default "1,2,4"; round-robin
+// DFF→chain partition).  Multi-chain rows carry an "@c<N>" config suffix
+// in the table and the JSON records; the 1-chain rows keep their
 // historical labels so baselines stay byte-comparable.
 //
 // Env: VCOMP_QUICK=1 restricts to the four smallest circuits.
@@ -23,7 +23,6 @@
 #include <map>
 
 #include "bench_util.hpp"
-#include "vcomp/scan/fabric.hpp"
 
 using namespace vcomp;
 using benchutil::PaperRef;
@@ -56,7 +55,6 @@ int main() {
   auto profiles = netgen::table234_profiles();
   profiles = benchutil::select_circuits(std::move(profiles), 4);
   const auto chain_list = benchutil::chain_counts();
-  const scan::PartitionPolicy partition = scan::partition_from_env();
 
   report::Table table({"circ", "aTV", "info", "shift", "TV", "ex", "m", "t",
                        "paper m", "paper t"});
@@ -107,7 +105,6 @@ int main() {
       for (auto& pt : points) {
         core::StitchOptions opts;
         opts.num_chains = nc;
-        opts.partition = partition;
         if (pt.ratio > 0) {
           if (!core::apply_info_ratio(opts, lab.netlist(), pt.ratio))
             continue;

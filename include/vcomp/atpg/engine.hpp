@@ -53,12 +53,13 @@ enum class EngineKind : std::uint8_t {
 /// Parses "podem" / "sat" / "race" (also "auto"); false on anything else.
 bool engine_kind_from_string(std::string_view s, EngineKind& out);
 
-/// VCOMP_ATPG environment override; unset or empty yields Podem.  Throws
+/// Parses a VCOMP_ATPG value; null or empty yields Podem.  Throws
 /// std::runtime_error on an unrecognized value (fail loudly, not quietly
 /// with the wrong engine).
-EngineKind engine_kind_from_env();
+EngineKind engine_kind_from_env(const char* value);
 
-/// Resolves Auto through the environment; other kinds pass through.
+/// Resolves Auto through the VCOMP_ATPG environment variable; other kinds
+/// pass through.
 EngineKind resolve_engine_kind(EngineKind kind);
 
 const char* to_string(EngineKind kind);

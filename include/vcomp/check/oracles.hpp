@@ -4,18 +4,17 @@
 /// Differential oracles of the check harness.
 ///
 /// Three families:
-///  * simulator oracles — WordSim, TernarySim, DiffSim and LaneSim are run
-///    on identical stimuli and compared against the naive reference
-///    evaluators of reference.hpp (and against each other where their
-///    domains overlap);
+///  * simulator oracles — WordSim, TernarySim, DiffSim and BlockLaneSim
+///    are run on identical stimuli and compared against the naive
+///    reference evaluators of reference.hpp;
 ///  * compaction / dispatch oracles — the same scenario is evaluated on
 ///    the compacted and uncompacted EvalGraph (WordSim values through the
 ///    id remap, DiffSim::simulate vs simulate_mapped, BlockLaneSim with
-///    mapped faults) and through every available SIMD dispatch width
-///    (BlockSim scalar vs AVX2 vs AVX-512); on top, the full stitched
-///    tracker is driven twice — VCOMP_COMPACT on and off — and the two
-///    digests (CycleStats, fault states, work counters) must be
-///    byte-identical;
+///    mapped faults under every dispatch mode vs the reference) and
+///    through every available SIMD dispatch width (BlockSim scalar vs
+///    AVX2 vs AVX-512); on top, the full stitched tracker is driven twice
+///    — on a compacted and on an identity model — and the two digests
+///    (CycleStats, fault states, work counters) must be byte-identical;
 ///  * the flush oracle — scan fabrics are linear networks over GF(2), so
 ///    shifting a flush stream through a loaded fabric must obey
 ///    superposition: obs(state, flush) == obs(state, 0) xor obs(0, flush),
@@ -101,8 +100,10 @@ std::optional<Failure> check_tracker(const Case& c);
 /// Canonical byte string of a tracker run over the case's schedule
 /// (per-cycle stats, final fault states, catch cycles, hidden chains,
 /// terminal catches).  Equal digests <=> byte-identical tracker behaviour;
-/// the runner compares digests across thread counts.
-std::string tracker_digest(const Case& c);
+/// the runner compares digests across thread counts.  \p compact selects
+/// the tracker's simulation model: compacted graph, or the identity model
+/// on the original graph.
+std::string tracker_digest(const Case& c, bool compact = true);
 
 /// Every oracle in sequence; first failure wins.  Exceptions out of the
 /// checked code are converted into Failure{"exception", what()}.

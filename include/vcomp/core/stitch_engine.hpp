@@ -65,8 +65,7 @@ struct StitchOptions {
   /// Scan fabric shape: chains shift in parallel; 1 is the degenerate
   /// single-chain fabric (byte-identical to the former single-chain flow).
   std::size_t num_chains = 1;
-  /// DFF → chain partition policy (see scan::partition_from_env for the
-  /// VCOMP_PARTITION override used by the CLI and bench drivers).
+  /// DFF → chain partition policy.
   scan::PartitionPolicy partition = scan::PartitionPolicy::RoundRobin;
   /// Seed for PartitionPolicy::SeededRandom.
   std::uint64_t partition_seed = 0;
@@ -159,7 +158,7 @@ struct PhaseProfile {
   double terminal_seconds = 0;  ///< terminal observes + ex-phase dropping
   double total_seconds = 0;     ///< whole StitchEngine::run call
   std::size_t faults_classified = 0;  ///< DiffSim classification queries
-  std::size_t hidden_advanced = 0;    ///< LaneSim lanes evaluated
+  std::size_t hidden_advanced = 0;    ///< BlockLaneSim lanes evaluated
   std::size_t podem_calls = 0;        ///< constrained generate() attempts
   std::size_t podem_backtracks = 0;   ///< backtracks across those calls
   std::size_t cubes_found = 0;        ///< successful cubes collected

@@ -88,8 +88,8 @@ class StitchTracker {
   /// redundancies); empty means "track all".  All internal simulators
   /// share the given pre-compiled evaluation graph.  \p model optionally
   /// supplies a pre-built compacted simulation model for (\p graph,
-  /// \p faults) — the model depends only on those plus VCOMP_COMPACT, so
-  /// concurrent trackers may alias one copy; nullptr builds a private one.
+  /// \p faults) — the model depends only on those, so concurrent trackers
+  /// may alias one copy; nullptr builds a private compacted one.
   StitchTracker(sim::EvalGraph::Ref graph,
                 const fault::CollapsedFaults& faults,
                 scan::CaptureMode capture, scan::Fabric fabric,
@@ -183,8 +183,8 @@ class StitchTracker {
   /// Compacted simulation graph + per-fault site mappings.  Every internal
   /// simulator below runs on model_->graph(); reported netlist()/chain
   /// positions stay in original ids (the model preserves input / dff / po
-  /// order, so index-based readouts need no translation).  VCOMP_COMPACT=0
-  /// turns the model into the identity and restores the original graph.
+  /// order, so index-based readouts need no translation).  An identity
+  /// model (enable = false) runs on the original graph.
   /// Shared (and immutable) so concurrent runs on one circuit build it once.
   std::shared_ptr<const fault::CompactModel> model_;
   fault::DiffSimShards ssims_;  // per-shard classification engines

@@ -1,17 +1,18 @@
 #pragma once
 
 /// \file block_lane_sim.hpp
-/// 512-lane sibling of LaneSim: every lane carries its own
-/// (stimulus, fault) pair, and one eval() advances up to kBlockLanes
-/// hidden faults through a combinational cycle.
+/// 512-lane faulty-machine simulator: every lane carries its own state
+/// and stuck-at fault under one broadcast PI vector, and one eval()
+/// advances up to kBlockLanes hidden faults through a combinational cycle.
 ///
 /// The sweep itself is the shared SIMD-dispatched Block kernel; faulty
 /// gates are handled through the sweep's patch callback — a gate whose
 /// force flag is set gets re-evaluated with its forced pins (gather +
 /// patch, the rare slow path) and/or its output masked to the stuck
 /// value, right after its plain store and before any consumer reads it.
-/// Lane semantics are identical to LaneSim's, so results are comparable
-/// word-for-word against eight 64-lane batches.
+/// Lane k matches the naive check::ref_faulty_eval / ref_next_state
+/// reference run with lane k's state and fault (the lane-sim and compact
+/// oracles hold every dispatch mode to that).
 ///
 /// Faults are injected either as original-graph Fault sites (inject) or
 /// as compacted-graph MappedFault site lists (inject_mapped); a mapped

@@ -61,7 +61,8 @@ std::optional<Request> parse_request(const std::string& line,
 
 /// Applies one config object onto \p spec (the key-for-key mirror of the
 /// vcomp_stitch flags).  Returns false + \p error on unknown keys or bad
-/// values.
+/// values.  The one validator of job options: vcomp_stitch routes its job
+/// flags through it too, so both front doors send the same messages.
 bool apply_config(const Json& config, JobSpec& spec, std::string& error);
 
 /// Display label of a job's circuit: the spec itself, with "#full"

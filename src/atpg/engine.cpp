@@ -24,19 +24,20 @@ bool engine_kind_from_string(std::string_view s, EngineKind& out) {
   return true;
 }
 
-EngineKind engine_kind_from_env() {
-  const char* env = std::getenv("VCOMP_ATPG");
-  if (env == nullptr || *env == '\0') return EngineKind::Podem;
+EngineKind engine_kind_from_env(const char* value) {
+  if (value == nullptr || *value == '\0') return EngineKind::Podem;
   EngineKind kind;
-  if (!engine_kind_from_string(env, kind) || kind == EngineKind::Auto)
+  if (!engine_kind_from_string(value, kind) || kind == EngineKind::Auto)
     throw std::runtime_error(
-        "VCOMP_ATPG must be podem, sat or race (got \"" + std::string(env) +
-        "\")");
+        "VCOMP_ATPG must be podem, sat or race (got \"" +
+        std::string(value) + "\")");
   return kind;
 }
 
 EngineKind resolve_engine_kind(EngineKind kind) {
-  return kind == EngineKind::Auto ? engine_kind_from_env() : kind;
+  return kind == EngineKind::Auto
+             ? engine_kind_from_env(std::getenv("VCOMP_ATPG"))
+             : kind;
 }
 
 const char* to_string(EngineKind kind) {

@@ -1,7 +1,7 @@
 #include "vcomp/check/oracles.hpp"
 
-#include <cstdlib>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <unordered_map>
 
@@ -11,7 +11,6 @@
 #include "vcomp/core/tracker.hpp"
 #include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/fault/compact_model.hpp"
-#include "vcomp/fault/fault_parallel_sim.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/sim/block_sim.hpp"
 #include "vcomp/sim/simd_dispatch.hpp"
@@ -135,36 +134,33 @@ std::optional<Failure> simulators_round(const Case& c,
                   "ppo diffs mismatch for " + fault::fault_name(nl, f));
   }
 
-  // LaneSim vs forked reference: lane k carries pattern k of the same
-  // source words plus its own fault — genuinely per-lane stimuli.
-  fault::LaneSim lsim(graph);
-  for (std::size_t base = 0; base < sample.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, sample.size() - base);
-    lsim.clear();
-    for (std::size_t k = 0; k < count; ++k) {
-      const int lane = lsim.add_lane();
-      for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-        lsim.set_pi(lane, i, (src[nl.inputs()[i]] >> k) & 1);
-      for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-        lsim.set_state(lane, i, (src[nl.dffs()[i]] >> k) & 1);
-      lsim.inject(lane, c.faults[sample[base + k]]);
-    }
-    lsim.eval();
-    for (std::size_t k = 0; k < count; ++k) {
-      const Fault& f = c.faults[sample[base + k]];
-      std::vector<Word> bad = src;
-      ref_faulty_eval(nl, bad, f);
-      for (std::size_t o = 0; o < nl.num_outputs(); ++o)
-        if (lsim.output(static_cast<int>(k), o) !=
-            static_cast<bool>((bad[nl.outputs()[o]] >> k) & 1))
-          return fail("lane-sim",
-                      "po mismatch for " + fault::fault_name(nl, f));
-      for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-        if (lsim.next_state(static_cast<int>(k), i) !=
-            static_cast<bool>((ref_next_state(nl, bad, &f, i) >> k) & 1))
-          return fail("lane-sim",
-                      "next-state mismatch for " + fault::fault_name(nl, f));
-    }
+  // BlockLaneSim vs forked reference: lane k carries the state bits of
+  // pattern k plus its own fault; PIs are broadcast (bit 0 of each source
+  // word), which is the tracker's usage.
+  std::vector<Word> lane_src = src;
+  for (GateId g : nl.inputs()) lane_src[g] = (src[g] & 1) != 0 ? ~Word{0} : 0;
+  fault::BlockLaneSim bsim(graph);
+  const std::size_t count = std::min<std::size_t>(sample.size(), 64);
+  for (std::size_t k = 0; k < count; ++k)
+    bsim.inject(bsim.add_lane(), c.faults[sample[k]]);
+  for (std::size_t i = 0; i < nl.num_inputs(); ++i)
+    bsim.set_pi_all(i, lane_src[nl.inputs()[i]] != 0);
+  for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+    bsim.set_state_word(i, 0, src[nl.dffs()[i]]);
+  bsim.eval();
+  for (std::size_t k = 0; k < count; ++k) {
+    const Fault& f = c.faults[sample[k]];
+    std::vector<Word> bad = lane_src;
+    ref_faulty_eval(nl, bad, f);
+    for (std::size_t o = 0; o < nl.num_outputs(); ++o)
+      if (bsim.output_block(o).lane(k) !=
+          static_cast<bool>((bad[nl.outputs()[o]] >> k) & 1))
+        return fail("lane-sim", "po mismatch for " + fault::fault_name(nl, f));
+    for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+      if (bsim.next_state_block(i).lane(k) !=
+          static_cast<bool>((ref_next_state(nl, bad, &f, i) >> k) & 1))
+        return fail("lane-sim",
+                    "next-state mismatch for " + fault::fault_name(nl, f));
   }
   return std::nullopt;
 }
@@ -172,33 +168,6 @@ std::optional<Failure> simulators_round(const Case& c,
 // ---- compaction / dispatch oracles ----------------------------------------
 
 constexpr std::uint64_t kCompactSalt = 0xc0a1e5cedc0de5ULL;
-
-/// Sets an environment variable for the current scope and restores the
-/// previous binding (including "unset") on exit.  tracker_digest() reads
-/// VCOMP_COMPACT at tracker construction, so this is how the A-B below
-/// flips the compaction pass per run.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(name_, saved_.c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 /// XOR-folds a fault effect's ppo diffs per dff index.  simulate_mapped may
 /// report one diff per mapped site; duplicates on the same dff fold as XOR
@@ -215,7 +184,7 @@ std::map<std::uint32_t, Word> folded_ppo(const fault::DiffSim::Effect& eff) {
 
 /// One stimulus round of the compacted-vs-original equivalence oracle:
 /// WordSim gate values through the id remap, DiffSim::simulate vs
-/// simulate_mapped, and LaneSim vs BlockLaneSim with mapped faults.
+/// simulate_mapped, and BlockLaneSim with mapped faults vs the reference.
 std::optional<Failure> compaction_round(const Case& c,
                                         const sim::EvalGraph::Ref& graph,
                                         const fault::CompactModel& model,
@@ -272,42 +241,46 @@ std::optional<Failure> compaction_round(const Case& c,
                                  fault::fault_name(nl, c.faults[fi]));
   }
 
-  // LaneSim (original faults, original graph) vs BlockLaneSim (mapped
-  // faults, compacted graph).  BlockLaneSim broadcasts PIs across lanes —
-  // that is the tracker's usage — so both engines get bit 0 of the PI
-  // words and per-lane states from bit k.
-  fault::LaneSim lsim(graph);
-  fault::BlockLaneSim bsim(model.graph());
+  // BlockLaneSim (mapped faults, compacted graph) under every available
+  // SIMD mode vs the forked reference (original faults, original netlist).
+  // BlockLaneSim broadcasts PIs across lanes — the tracker's usage — so
+  // the reference gets bit 0 of the PI words and per-lane states from bit k.
   const std::size_t count = std::min<std::size_t>(sample.size(), 64);
-  for (std::size_t k = 0; k < count; ++k) {
-    const int la = lsim.add_lane();
-    const int lb = bsim.add_lane();
+  std::vector<fault::BlockLaneSim> bsims;
+  bsims.reserve(3);
+  for (sim::SimdMode mode :
+       {sim::SimdMode::Scalar, sim::SimdMode::Avx2, sim::SimdMode::Avx512}) {
+    if (!sim::simd_available(mode)) continue;
+    fault::BlockLaneSim& bsim = bsims.emplace_back(model.graph(), mode);
+    for (std::size_t k = 0; k < count; ++k)
+      bsim.inject_mapped(bsim.add_lane(), model.mapped(sample[k]));
     for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-      lsim.set_pi(la, i, (in[i] & 1) != 0);
-    for (std::size_t i = 0; i < nl.num_dffs(); ++i) {
-      lsim.set_state(la, i, ((st[i] >> k) & 1) != 0);
-      bsim.set_state(lb, i, ((st[i] >> k) & 1) != 0);
-    }
-    lsim.inject(la, c.faults[sample[k]]);
-    bsim.inject_mapped(lb, model.mapped(sample[k]));
+      bsim.set_pi_all(i, (in[i] & 1) != 0);
+    for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+      bsim.set_state_word(i, 0, st[i]);
+    bsim.eval();
   }
+  std::vector<Word> src(nl.num_gates(), 0);
   for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-    bsim.set_pi_all(i, (in[i] & 1) != 0);
-  lsim.eval();
-  bsim.eval();
+    src[nl.inputs()[i]] = (in[i] & 1) != 0 ? ~Word{0} : 0;
+  for (std::size_t i = 0; i < nl.num_dffs(); ++i) src[nl.dffs()[i]] = st[i];
   for (std::size_t k = 0; k < count; ++k) {
     const Fault& f = c.faults[sample[k]];
-    for (std::size_t o = 0; o < nl.num_outputs(); ++o)
-      if (bsim.output_block(o).lane(k) !=
-          lsim.output(static_cast<int>(k), o))
-        return fail("compact", "block-lane po differs for mapped " +
-                                   fault::fault_name(nl, f));
-    for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-      if (bsim.next_state_block(i).lane(k) !=
-          lsim.next_state(static_cast<int>(k), i))
-        return fail("compact",
-                    "block-lane next-state differs for mapped " +
-                        fault::fault_name(nl, f));
+    std::vector<Word> bad = src;
+    ref_faulty_eval(nl, bad, f);
+    for (const fault::BlockLaneSim& bsim : bsims) {
+      const std::string where = " (" +
+                                std::string(sim::to_string(bsim.simd())) +
+                                ") for mapped " + fault::fault_name(nl, f);
+      for (std::size_t o = 0; o < nl.num_outputs(); ++o)
+        if (bsim.output_block(o).lane(k) !=
+            static_cast<bool>((bad[nl.outputs()[o]] >> k) & 1))
+          return fail("compact", "block-lane po differs" + where);
+      for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+        if (bsim.next_state_block(i).lane(k) !=
+            static_cast<bool>((ref_next_state(nl, bad, &f, i) >> k) & 1))
+          return fail("compact", "block-lane next-state differs" + where);
+    }
   }
   return std::nullopt;
 }
@@ -367,7 +340,7 @@ struct RefTrackerResult {
 
 /// Full-shift brute force: every tracked fault keeps a private fabric
 /// image and is re-evaluated from scratch with the naive reference each
-/// cycle.  No DiffSim, no LaneSim, no sharding, no fabric_diff_observable
+/// cycle.  No DiffSim, no BlockLaneSim, no sharding, no fabric_diff_observable
 /// — and no scan::FabricState: fabric images are flat chain-major byte
 /// vectors advanced with ref_fabric_shift.
 RefTrackerResult ref_track(const Case& c) {
@@ -538,10 +511,13 @@ struct TrackerRun {
   std::size_t hidden_advanced = 0;
 };
 
-TrackerRun run_tracker(const Case& c) {
+TrackerRun run_tracker(const Case& c, bool compact) {
   const scan::Fabric fabric = case_fabric(c);
-  core::StitchTracker tracker(c.netlist, c.faults, c.capture, fabric,
-                              case_out_model(c, fabric), c.track);
+  const auto graph = sim::EvalGraph::compile(c.netlist);
+  core::StitchTracker tracker(
+      graph, c.faults, c.capture, fabric, case_out_model(c, fabric), c.track,
+      std::make_shared<const fault::CompactModel>(graph, c.faults.faults(),
+                                                  compact));
   TrackerRun out;
   out.cycles.push_back(tracker.apply_first(c.schedule.vectors[0]));
   for (std::size_t ci = 1; ci < c.schedule.vectors.size(); ++ci) {
@@ -675,20 +651,12 @@ std::optional<Failure> check_compaction(const Case& c,
       return f;
     }
   }
-  // Full-tracker A-B: the stitched run must be byte-identical with the
-  // compaction pass forced on and off.
-  std::string on, off;
-  {
-    ScopedEnv env("VCOMP_COMPACT", "1");
-    on = tracker_digest(c);
-  }
-  {
-    ScopedEnv env("VCOMP_COMPACT", "0");
-    off = tracker_digest(c);
-  }
-  if (on != off)
+  // Full-tracker A-B: the stitched run must be byte-identical on the
+  // compacted and on the identity model.
+  if (tracker_digest(c, /*compact=*/true) !=
+      tracker_digest(c, /*compact=*/false))
     return fail("compact",
-                "tracker digest differs between VCOMP_COMPACT=1 and =0");
+                "tracker digest differs between compacted and identity model");
   return std::nullopt;
 }
 
@@ -820,7 +788,7 @@ std::optional<Failure> check_atpg(const Case& c, std::uint64_t seed,
 }
 
 std::optional<Failure> check_tracker(const Case& c) {
-  const TrackerRun got = run_tracker(c);
+  const TrackerRun got = run_tracker(c, /*compact=*/true);
   const RefTrackerResult want = ref_track(c);
 
   if (got.chain_ff != want.chain_ff)
@@ -945,8 +913,8 @@ std::optional<Failure> check_adi(const Case& c, std::uint64_t seed,
   return std::nullopt;
 }
 
-std::string tracker_digest(const Case& c) {
-  const TrackerRun run = run_tracker(c);
+std::string tracker_digest(const Case& c, bool compact) {
+  const TrackerRun run = run_tracker(c, compact);
   std::ostringstream os;
   for (const auto& st : run.cycles)
     os << st.shift << ',' << st.caught_at_shift << ',' << st.caught_at_po

@@ -8,7 +8,7 @@ CircuitArtifacts CircuitArtifacts::build(const netlist::Netlist& nl,
   a.graph = sim::EvalGraph::compile(nl);
   a.scoap = std::make_shared<const tmeas::Scoap>(*a.graph);
   a.compact = std::make_shared<const fault::CompactModel>(
-      a.graph, faults.faults(), fault::compact_enabled_from_env());
+      a.graph, faults.faults(), /*enable=*/true);
   return a;
 }
 

@@ -440,7 +440,10 @@ StitchResult StitchEngine::run() {
   while (uncaught_targets_remain() && tracker.cycle() < max_cycles &&
          !below_break_even()) {
     const bool first = tracker.cycle() == 0;
-    const scan::ShiftPlan plan = fabric_.plan_for(policy->current());
+    // One shift per cycle: the plan, the recorded shift and last_shift all
+    // come from this value, even after on_failure() advances the policy.
+    const std::size_t s = policy->current();
+    const scan::ShiftPlan plan = fabric_.plan_for(s);
     auto cand = generate(tracker.sets(), tracker.state(), plan, first,
                          tracker.cycle());
     if (!cand) {
@@ -450,7 +453,6 @@ StitchResult StitchEngine::run() {
       // and retry; the constraint set is a function of the fabric content.
       if (bridges_used >= opts_.max_bridge_cycles) break;
       ++bridges_used;
-      const std::size_t s = policy->current();
       atpg::TestVector bridge;
       bridge.pi.resize(npi);
       for (auto& b : bridge.pi) b = rng_.bit();
@@ -484,7 +486,6 @@ StitchResult StitchEngine::run() {
       res.schedule.shifts.push_back(L);
       if (multi) res.schedule.plans.push_back(fabric_.plan_for(L));
     } else {
-      const std::size_t s = policy->current();
       st = tracker.apply_stitched(cand->vector, plan);
       meter.stitched_cycle(plan);
       last_shift = s;

@@ -64,8 +64,7 @@ StitchTracker::StitchTracker(sim::EvalGraph::Ref graph,
       model_(model != nullptr
                  ? std::move(model)
                  : std::make_shared<const fault::CompactModel>(
-                       graph, faults.faults(),
-                       fault::compact_enabled_from_env())),
+                       graph, faults.faults(), /*enable=*/true)),
       ssims_(model_->graph()),
       sim0_(&ssims_.at(0)),
       lanes_(model_->graph()),

@@ -1,17 +1,10 @@
 #include "vcomp/fault/compact_model.hpp"
 
-#include <cstdlib>
 #include <utility>
 
 #include "vcomp/util/assert.hpp"
 
 namespace vcomp::fault {
-
-bool compact_enabled_from_env() {
-  const char* e = std::getenv("VCOMP_COMPACT");
-  if (e == nullptr || *e == '\0') return true;
-  return !(e[0] == '0' && e[1] == '\0');
-}
 
 using netlist::GateId;
 using netlist::GateType;

@@ -140,7 +140,11 @@ Netlist generate(const CircuitProfile& p) {
       if (!degenerate) break;
     }
 
-    GateId id = nl.add_gate(t, "G" + std::to_string(i), fanin);
+    // Appending (not operator+) dodges a gcc-12 -O3 -Wrestrict false
+    // positive on "literal" + std::string.
+    std::string name = "G";
+    name += std::to_string(i);
+    GateId id = nl.add_gate(t, std::move(name), fanin);
     sig[id] = value;
     for (GateId f : fanin) level[id] = std::max(level[id], level[f] + 1);
     for (GateId f : fanin) ++uses[f];

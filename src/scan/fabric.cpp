@@ -1,7 +1,6 @@
 #include "vcomp/scan/fabric.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 
 #include "vcomp/scan/observe.hpp"
@@ -36,16 +35,6 @@ bool partition_from_string(const std::string& s, PartitionPolicy& out) {
     return true;
   }
   return false;
-}
-
-PartitionPolicy partition_from_env() {
-  const char* e = std::getenv("VCOMP_PARTITION");
-  if (e == nullptr || *e == '\0') return PartitionPolicy::RoundRobin;
-  PartitionPolicy p = PartitionPolicy::RoundRobin;
-  VCOMP_REQUIRE(partition_from_string(e, p),
-                std::string("VCOMP_PARTITION names no partition policy: ") +
-                    e);
-  return p;
 }
 
 Fabric::Fabric(const netlist::Netlist& nl, std::size_t num_chains,
@@ -251,6 +240,8 @@ void FabricState::shift(const ShiftPlan& plan,
   for (std::size_t c = 0; c < chains_.size(); ++c) {
     VCOMP_REQUIRE(plan[c] <= chains_[c].length(),
                   "cannot shift more bits than the chain holds");
+    VCOMP_REQUIRE(plan[c] <= in_bits.size() - off,
+                  "scan-in stream size mismatch");
     for (std::size_t j = 0; j < plan[c]; ++j) {
       observed.push_back(chains_[c].shift_one(in_bits[off + j], out.chains[c]));
     }

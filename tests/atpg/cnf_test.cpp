@@ -150,11 +150,13 @@ TEST(Cnf, SyntheticCubesVerifyAndAgreeWithPodem) {
     const auto rs = sat.generate(f, nullptr);
     ASSERT_NE(rs.status, PodemStatus::Aborted) << fault_name(nl, f);
     EXPECT_EQ(rs.sat_calls, 1u);
-    if (rs.status == PodemStatus::Success)
+    if (rs.status == PodemStatus::Success) {
       EXPECT_TRUE(cube_detects(nl, rs.cube, f, rng)) << fault_name(nl, f);
+    }
     const auto rp = podem.generate(f, nullptr, {.max_backtracks = 1024});
-    if (rp.status != PodemStatus::Aborted)
+    if (rp.status != PodemStatus::Aborted) {
       EXPECT_EQ(rs.status, rp.status) << fault_name(nl, f);
+    }
   }
 }
 

@@ -19,32 +19,6 @@ using fault::Fault;
 using sim::Trit;
 using sim::Word;
 
-/// Scoped VCOMP_ATPG binding (restores the previous one, including unset).
-class ScopedAtpgEnv {
- public:
-  explicit ScopedAtpgEnv(const char* value) {
-    const char* old = std::getenv("VCOMP_ATPG");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    if (value)
-      ::setenv("VCOMP_ATPG", value, 1);
-    else
-      ::unsetenv("VCOMP_ATPG");
-  }
-  ~ScopedAtpgEnv() {
-    if (had_)
-      ::setenv("VCOMP_ATPG", saved_.c_str(), 1);
-    else
-      ::unsetenv("VCOMP_ATPG");
-  }
-  ScopedAtpgEnv(const ScopedAtpgEnv&) = delete;
-  ScopedAtpgEnv& operator=(const ScopedAtpgEnv&) = delete;
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
-
 bool cube_detects(const netlist::Netlist& nl, const Cube& cube,
                   const Fault& f, Rng& rng) {
   DiffSim sim(nl);
@@ -77,22 +51,17 @@ TEST(EngineKindTest, FromString) {
 }
 
 TEST(EngineKindTest, EnvResolution) {
-  {
-    ScopedAtpgEnv env(nullptr);
-    EXPECT_EQ(engine_kind_from_env(), EngineKind::Podem);
-    EXPECT_EQ(resolve_engine_kind(EngineKind::Auto), EngineKind::Podem);
-  }
-  {
-    ScopedAtpgEnv env("race");
-    EXPECT_EQ(engine_kind_from_env(), EngineKind::Race);
-    EXPECT_EQ(resolve_engine_kind(EngineKind::Auto), EngineKind::Race);
-    // Explicit kinds override the environment.
-    EXPECT_EQ(resolve_engine_kind(EngineKind::Sat), EngineKind::Sat);
-  }
-  {
-    ScopedAtpgEnv env("fancy");
-    EXPECT_THROW(engine_kind_from_env(), std::runtime_error);
-  }
+  EXPECT_EQ(engine_kind_from_env(nullptr), EngineKind::Podem);
+  EXPECT_EQ(engine_kind_from_env(""), EngineKind::Podem);
+  EXPECT_EQ(engine_kind_from_env("race"), EngineKind::Race);
+  EXPECT_EQ(engine_kind_from_env("sat"), EngineKind::Sat);
+  EXPECT_THROW(engine_kind_from_env("fancy"), std::runtime_error);
+  EXPECT_THROW(engine_kind_from_env("auto"), std::runtime_error);
+  // Auto resolves through the process environment; explicit kinds
+  // override it.
+  EXPECT_EQ(resolve_engine_kind(EngineKind::Auto),
+            engine_kind_from_env(std::getenv("VCOMP_ATPG")));
+  EXPECT_EQ(resolve_engine_kind(EngineKind::Sat), EngineKind::Sat);
 }
 
 TEST(EngineTest, FactoryProducesNamedEngines) {
@@ -153,8 +122,9 @@ TEST(EngineTest, RaceFallsThroughToSatOnAbort) {
     const auto res = race->generate(f, nullptr);
     ASSERT_NE(res.status, PodemStatus::Aborted) << fault_name(nl, f);
     routed_to_sat += res.sat_calls;
-    if (res.status == PodemStatus::Success && res.sat_calls > 0)
+    if (res.status == PodemStatus::Success && res.sat_calls > 0) {
       EXPECT_TRUE(cube_detects(nl, res.cube, f, rng)) << fault_name(nl, f);
+    }
   }
   EXPECT_GT(routed_to_sat, 0u);
 }

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "vcomp/atpg/podem.hpp"
 #include "vcomp/fault/collapse.hpp"
 #include "vcomp/fault/fault_sim.hpp"
@@ -22,8 +24,11 @@ using fault::DiffSim;
 using sim::Trit;
 using sim::Word;
 
+// The circuit name is a std::string, not a const char*, so the printed
+// parameter — and the test name derived from it — carries no pointer
+// address that changes from run to run.
 class ConstrainedPodem : public ::testing::TestWithParam<
-                             std::tuple<const char*, std::uint64_t>> {};
+                             std::tuple<std::string, std::uint64_t>> {};
 
 TEST_P(ConstrainedPodem, VerdictsVerifiedBySimulation) {
   const auto [name, seed] = GetParam();

@@ -77,8 +77,9 @@ TEST(Selection, AdiOrderAscendingPermutation) {
     ASSERT_LT(order[k], faults.size());
     ASSERT_FALSE(seen[order[k]]);
     seen[order[k]] = 1;
-    if (k > 0)  // ascending ADI: rarely-detected faults first
+    if (k > 0) {  // ascending ADI: rarely-detected faults first
       EXPECT_LE(counts[order[k - 1]], counts[order[k]]);
+    }
   }
 }
 

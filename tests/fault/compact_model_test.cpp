@@ -7,9 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "vcomp/check/reference.hpp"
 #include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/fault/collapse.hpp"
-#include "vcomp/fault/fault_parallel_sim.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/netgen/example_circuit.hpp"
 #include "vcomp/netgen/netgen.hpp"
@@ -137,107 +137,132 @@ TEST(CompactModel, IdentityModeSharesGraphAndMapsOneSite) {
   }
 }
 
+/// Checks every occupied lane of \p cut against the naive forked reference
+/// on the original netlist: lane l carries original fault \p faults[l],
+/// the broadcast PI bits \p pis and state bit l of \p states.
+void expect_lanes_match_reference(const netlist::Netlist& nl,
+                                  const BlockLaneSim& cut,
+                                  const std::vector<std::uint8_t>& pis,
+                                  const std::vector<Block>& states,
+                                  const std::vector<Fault>& faults,
+                                  const std::string& label) {
+  std::vector<Word> vals(nl.num_gates(), 0);
+  for (std::size_t l = 0; l < static_cast<std::size_t>(cut.num_lanes());
+       ++l) {
+    const Fault& f = faults[l];
+    std::fill(vals.begin(), vals.end(), Word{0});
+    for (std::size_t i = 0; i < pis.size(); ++i)
+      vals[nl.inputs()[i]] = pis[i] != 0 ? ~Word{0} : Word{0};
+    for (std::size_t i = 0; i < states.size(); ++i)
+      vals[nl.dffs()[i]] = states[i].w[l / 64];
+    check::ref_faulty_eval(nl, vals, f);
+    const std::size_t bit = l % 64;
+    for (std::size_t o = 0; o < nl.num_outputs(); ++o)
+      EXPECT_EQ(cut.output_block(o).lane(l),
+                ((vals[nl.outputs()[o]] >> bit) & 1) != 0)
+          << label << " po " << o << " lane " << l;
+    for (std::size_t d = 0; d < nl.num_dffs(); ++d)
+      EXPECT_EQ(cut.next_state_block(d).lane(l),
+                ((check::ref_next_state(nl, vals, &f, d) >> bit) & 1) != 0)
+          << label << " dff " << d << " lane " << l;
+  }
+}
+
+/// Random shared PI bits and per-lane state Blocks for one eval.
+void random_stimulus(const EvalGraph& graph, Rng& rng,
+                     std::vector<std::uint8_t>& pis,
+                     std::vector<Block>& states) {
+  pis.resize(graph.num_inputs());
+  for (auto& b : pis) b = rng.next() & 1;
+  states.assign(graph.num_dffs(), Block::zero());
+  for (auto& s : states)
+    for (std::size_t k = 0; k < sim::kBlockWords; ++k) s.w[k] = rng.next();
+}
+
+/// Loads the shared PI bits and per-lane states into \p s and evaluates.
+void drive(BlockLaneSim& s, const std::vector<std::uint8_t>& pis,
+           const std::vector<Block>& states) {
+  for (std::size_t i = 0; i < pis.size(); ++i) s.set_pi_all(i, pis[i] != 0);
+  for (std::size_t i = 0; i < states.size(); ++i)
+    s.set_state_block(i, states[i]);
+  s.eval();
+}
+
+/// Every occupied lane of \p got agrees with the same lane of \p want on
+/// every PO and every captured bit.
+void expect_lanes_equal(const BlockLaneSim& want, const BlockLaneSim& got,
+                        const std::string& label) {
+  ASSERT_EQ(want.num_lanes(), got.num_lanes()) << label;
+  const auto& g = *want.graph();
+  for (std::size_t l = 0; l < static_cast<std::size_t>(got.num_lanes());
+       ++l) {
+    for (std::size_t o = 0; o < g.num_outputs(); ++o)
+      EXPECT_EQ(want.output_block(o).lane(l), got.output_block(o).lane(l))
+          << label << " po " << o << " lane " << l;
+    for (std::size_t d = 0; d < g.num_dffs(); ++d)
+      EXPECT_EQ(want.next_state_block(d).lane(l),
+                got.next_state_block(d).lane(l))
+          << label << " dff " << d << " lane " << l;
+  }
+}
+
 /// BlockLaneSim with per-lane mapped faults on the compacted graph must
-/// agree with LaneSim with the original faults on the original graph —
-/// the exact configuration the tracker's hidden-advance uses.
+/// agree with the lane simulator running the original faults on the
+/// original graph, and with the naive reference — the exact configuration
+/// the tracker's hidden-advance uses.
 TEST(BlockLaneSim, MappedLanesMatchLaneSimOnOriginal) {
   const auto nl = netgen::generate("s526");
   const auto cf = collapsed_fault_list(nl);
   auto graph = EvalGraph::compile(nl);
   CompactModel model(graph, cf.faults(), /*enable=*/true);
 
-  LaneSim ref(graph);
+  BlockLaneSim ref(graph);
   BlockLaneSim cut(model.graph());
   Rng rng(0xb10cull);
   const std::size_t batch =
       std::min<std::size_t>(cf.faults().size(), sim::kBlockLanes);
+  std::vector<std::uint8_t> pis;
+  std::vector<Block> states;
+  random_stimulus(*graph, rng, pis, states);
 
-  // Shared test vector, per-lane state, per-lane fault.  LaneSim holds 64
-  // lanes, so compare the Block batch against tiled 64-lane batches.
-  std::vector<std::uint8_t> pis(graph->num_inputs());
-  for (auto& b : pis) b = rng.next() & 1;
-  std::vector<Block> states(graph->num_dffs(), Block::zero());
-  for (auto& s : states)
-    for (std::size_t k = 0; k < sim::kBlockWords; ++k) s.w[k] = rng.next();
-
-  cut.clear();
   for (std::size_t l = 0; l < batch; ++l) {
-    const int lane = cut.add_lane();
-    cut.inject_mapped(lane, model.mapped(l));
+    ref.inject(ref.add_lane(), cf.faults()[l]);
+    cut.inject_mapped(cut.add_lane(), model.mapped(l));
   }
-  for (std::size_t i = 0; i < pis.size(); ++i) cut.set_pi_all(i, pis[i] != 0);
-  for (std::size_t i = 0; i < states.size(); ++i)
-    cut.set_state_block(i, states[i]);
-  cut.eval();
-
-  for (std::size_t base = 0; base < batch; base += 64) {
-    const std::size_t k = base / 64;
-    const std::size_t n = std::min<std::size_t>(64, batch - base);
-    ref.clear();
-    for (std::size_t l = 0; l < n; ++l) {
-      const int lane = ref.add_lane();
-      ref.inject(lane, cf.faults()[base + l]);
-    }
-    for (std::size_t i = 0; i < pis.size(); ++i)
-      ref.set_pi_all(i, pis[i] != 0);
-    for (std::size_t i = 0; i < states.size(); ++i)
-      ref.set_state_word(i, states[i].w[k]);
-    ref.eval();
-
-    const Word mask =
-        n == 64 ? ~Word{0} : ((Word{1} << n) - 1);
-    for (std::size_t o = 0; o < graph->num_outputs(); ++o)
-      EXPECT_EQ(ref.output_word(o) & mask, cut.output_block(o).w[k] & mask)
-          << "po " << o << " word " << k;
-    for (std::size_t d = 0; d < graph->num_dffs(); ++d)
-      EXPECT_EQ(ref.next_state_word(d) & mask,
-                cut.next_state_block(d).w[k] & mask)
-          << "dff " << d << " word " << k;
-  }
+  drive(ref, pis, states);
+  drive(cut, pis, states);
+  expect_lanes_equal(ref, cut, "mapped");
+  expect_lanes_match_reference(nl, cut, pis, states, cf.faults(), "mapped");
 }
 
-/// BlockLaneSim and LaneSim agree lane-for-lane on the *same* graph with
-/// plain faults, across every available dispatch mode.
+/// Every available dispatch mode matches the naive forked reference and,
+/// lane-for-lane, the portable scalar lane simulator.
 TEST(BlockLaneSim, MatchesLaneSimPerDispatchMode) {
   const auto nl = netgen::generate("s444");
   const auto cf = collapsed_fault_list(nl);
   auto graph = EvalGraph::compile(nl);
   Rng rng(7u);
+  std::vector<std::uint8_t> pis;
+  std::vector<Block> states;
+  random_stimulus(*graph, rng, pis, states);
+  const std::size_t n =
+      std::min<std::size_t>(cf.faults().size(), sim::kBlockLanes);
 
-  std::vector<std::uint8_t> pis(graph->num_inputs());
-  for (auto& b : pis) b = rng.next() & 1;
-  std::vector<Word> states(graph->num_dffs());
-  for (auto& s : states) s = rng.next();
-  const std::size_t n = std::min<std::size_t>(cf.faults().size(), 64);
+  BlockLaneSim ref(graph, sim::SimdMode::Scalar);
+  for (std::size_t l = 0; l < n; ++l)
+    ref.inject(ref.add_lane(), cf.faults()[l]);
+  drive(ref, pis, states);
+  expect_lanes_match_reference(nl, ref, pis, states, cf.faults(), "scalar");
 
-  LaneSim ref(graph);
-  ref.clear();
-  for (std::size_t l = 0; l < n; ++l) ref.inject(ref.add_lane(),
-                                                 cf.faults()[l]);
-  for (std::size_t i = 0; i < pis.size(); ++i) ref.set_pi_all(i, pis[i] != 0);
-  for (std::size_t i = 0; i < states.size(); ++i)
-    ref.set_state_word(i, states[i]);
-  ref.eval();
-
-  for (sim::SimdMode mode :
-       {sim::SimdMode::Scalar, sim::SimdMode::Avx2, sim::SimdMode::Avx512}) {
+  for (sim::SimdMode mode : {sim::SimdMode::Avx2, sim::SimdMode::Avx512}) {
     if (!sim::simd_available(mode)) continue;
     BlockLaneSim cut(graph, mode);
-    for (std::size_t l = 0; l < n; ++l) cut.inject(cut.add_lane(),
-                                                   cf.faults()[l]);
-    for (std::size_t i = 0; i < pis.size(); ++i)
-      cut.set_pi_all(i, pis[i] != 0);
-    for (std::size_t i = 0; i < states.size(); ++i)
-      cut.set_state_word(i, 0, states[i]);
-    cut.eval();
-    const Word mask = n == 64 ? ~Word{0} : ((Word{1} << n) - 1);
-    for (std::size_t o = 0; o < graph->num_outputs(); ++o)
-      EXPECT_EQ(ref.output_word(o) & mask, cut.output_block(o).w[0] & mask)
-          << to_string(mode) << " po " << o;
-    for (std::size_t d = 0; d < graph->num_dffs(); ++d)
-      EXPECT_EQ(ref.next_state_word(d) & mask,
-                cut.next_state_block(d).w[0] & mask)
-          << to_string(mode) << " dff " << d;
+    for (std::size_t l = 0; l < n; ++l)
+      cut.inject(cut.add_lane(), cf.faults()[l]);
+    drive(cut, pis, states);
+    const std::string label(to_string(mode));
+    expect_lanes_match_reference(nl, cut, pis, states, cf.faults(), label);
+    expect_lanes_equal(ref, cut, label);
   }
 }
 

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "vcomp/util/assert.hpp"
 
+#include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/fault/collapse.hpp"
-#include "vcomp/fault/fault_parallel_sim.hpp"
 #include "vcomp/netgen/example_circuit.hpp"
 #include "vcomp/netgen/netgen.hpp"
 #include "vcomp/util/rng.hpp"
@@ -106,13 +108,15 @@ TEST(DiffSim, RedundantFaultNeverDetected) {
 }
 
 // Differential test: the event-driven DiffSim against the independent
-// full-pass LaneSim, over random stimuli and every collapsed fault.
+// full-pass lane simulator (BlockLaneSim), over random stimuli and every
+// collapsed fault.
 TEST(DiffSim, AgreesWithLaneSim) {
   auto nl = netgen::generate("s444");
   auto cf = collapsed_fault_list(nl);
   DiffSim dsim(nl);
-  LaneSim lanes(nl);
+  BlockLaneSim lanes(sim::EvalGraph::compile(nl));
   Rng rng(1234);
+  const std::size_t per_batch = sim::kBlockLanes - 1;  // lane 0 stays good
 
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<std::uint8_t> pi(nl.num_inputs()), st(nl.num_dffs());
@@ -125,30 +129,25 @@ TEST(DiffSim, AgreesWithLaneSim) {
       dsim.good().set_state(i, st[i] ? ~Word{0} : Word{0});
     dsim.commit_good();
 
-    for (std::size_t base = 0; base < cf.size(); base += 63) {
-      const std::size_t count = std::min<std::size_t>(63, cf.size() - base);
+    for (std::size_t base = 0; base < cf.size(); base += per_batch) {
+      const std::size_t count = std::min(per_batch, cf.size() - base);
       lanes.clear();
-      const int good_lane = lanes.add_lane();
+      const std::size_t good_lane = static_cast<std::size_t>(lanes.add_lane());
+      for (std::size_t k = 0; k < count; ++k)
+        lanes.inject(lanes.add_lane(), cf[base + k]);
       for (std::size_t i = 0; i < pi.size(); ++i)
-        lanes.set_pi(good_lane, i, pi[i]);
+        lanes.set_pi_all(i, pi[i] != 0);
       for (std::size_t i = 0; i < st.size(); ++i)
-        lanes.set_state(good_lane, i, st[i]);
-      for (std::size_t k = 0; k < count; ++k) {
-        const int lane = lanes.add_lane();
-        for (std::size_t i = 0; i < pi.size(); ++i)
-          lanes.set_pi(lane, i, pi[i]);
-        for (std::size_t i = 0; i < st.size(); ++i)
-          lanes.set_state(lane, i, st[i]);
-        lanes.inject(lane, cf[base + k]);
-      }
+        lanes.set_state_block(i, sim::Block::fill(st[i] != 0));
       lanes.eval();
       for (std::size_t k = 0; k < count; ++k) {
-        const int lane = 1 + static_cast<int>(k);
+        const std::size_t lane = 1 + k;
         const auto eff = dsim.simulate(cf[base + k]);
         // Compare PO difference.
         bool lane_po_diff = false;
         for (std::size_t o = 0; o < nl.num_outputs(); ++o)
-          lane_po_diff |= lanes.output(lane, o) != lanes.output(good_lane, o);
+          lane_po_diff |= lanes.output_block(o).lane(lane) !=
+                          lanes.output_block(o).lane(good_lane);
         EXPECT_EQ(lane_po_diff, (eff.po_any & 1) != 0)
             << fault_name(nl, cf[base + k]);
         // Compare every captured bit.
@@ -156,9 +155,9 @@ TEST(DiffSim, AgreesWithLaneSim) {
         for (const auto& d : eff.ppo_diffs)
           if (d.diff & 1) dsim_diff[d.dff_index] = 1;
         for (std::size_t dff = 0; dff < nl.num_dffs(); ++dff) {
-          const bool lane_diff = lanes.next_state(lane, dff) !=
-                                 lanes.next_state(good_lane, dff);
-          ASSERT_EQ(lane_diff, dsim_diff[dff] != 0)
+          const auto next = lanes.next_state_block(dff);
+          ASSERT_EQ(next.lane(lane) != next.lane(good_lane),
+                    dsim_diff[dff] != 0)
               << fault_name(nl, cf[base + k]) << " dff " << dff;
         }
       }
@@ -180,16 +179,17 @@ TEST(DiffSim, SparseEffectsResetBetweenFaults) {
   EXPECT_NE(sim.simulate(by_name(nl, cf, "b/0")).any(), Word{0});
 }
 
+// Lane-simulator contracts, checked on BlockLaneSim.
 TEST(LaneSim, RejectsTooManyLanes) {
   auto nl = netgen::example_circuit();
-  LaneSim lanes(nl);
-  for (int i = 0; i < 64; ++i) lanes.add_lane();
+  BlockLaneSim lanes(sim::EvalGraph::compile(nl));
+  for (std::size_t i = 0; i < sim::kBlockLanes; ++i) lanes.add_lane();
   EXPECT_THROW(lanes.add_lane(), vcomp::ContractError);
 }
 
 TEST(LaneSim, DffPinFaultOnlyPerturbsCapture) {
   auto nl = netgen::example_circuit();
-  LaneSim lanes(nl);
+  BlockLaneSim lanes(sim::EvalGraph::compile(nl));
   const int good = lanes.add_lane();
   const int bad = lanes.add_lane();
   // TV 110: D-c/0 flips only the bit captured into cell c.
@@ -200,10 +200,13 @@ TEST(LaneSim, DffPinFaultOnlyPerturbsCapture) {
   }
   lanes.inject(bad, Fault{nl.find("c"), 0, 0});
   lanes.eval();
-  EXPECT_EQ(lanes.next_state(good, 2), true);
-  EXPECT_EQ(lanes.next_state(bad, 2), false);
-  EXPECT_EQ(lanes.next_state(bad, 0), lanes.next_state(good, 0));
-  EXPECT_EQ(lanes.next_state(bad, 1), lanes.next_state(good, 1));
+  auto next = [&](int lane, std::size_t dff) {
+    return lanes.next_state_block(dff).lane(static_cast<std::size_t>(lane));
+  };
+  EXPECT_EQ(next(good, 2), true);
+  EXPECT_EQ(next(bad, 2), false);
+  EXPECT_EQ(next(bad, 0), next(good, 0));
+  EXPECT_EQ(next(bad, 1), next(good, 1));
 }
 
 }  // namespace

@@ -13,13 +13,10 @@
 namespace vcomp::core {
 namespace {
 
-class ScheduleReplay : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ScheduleReplay, ReplayReproducesRun) {
-  CircuitLab lab(netgen::profile(GetParam()));
-  StitchOptions opts;
-  opts.seed = 17;
-  const auto run = lab.run(opts);
+/// Replays \p run's recorded schedule through a fresh tracker and checks
+/// that every cycle reproduces the engine's own per-cycle stats.
+void expect_replay_matches(const CircuitLab& lab, const StitchOptions& opts,
+                           const StitchResult& run) {
   ASSERT_GT(run.vectors_applied, 0u);
   ASSERT_EQ(run.schedule.vectors.size(), run.vectors_applied);
 
@@ -32,15 +29,15 @@ TEST_P(ScheduleReplay, ReplayReproducesRun) {
                         scan::ScanOutModel::direct(nl.num_dffs()),
                         std::move(track));
 
-  std::size_t replay_shift_catches = 0, replay_po_catches = 0;
   for (std::size_t c = 0; c < run.schedule.vectors.size(); ++c) {
     CycleStats st;
     if (c == 0) {
       st = tracker.apply_first(run.schedule.vectors[c]);
     } else {
       // Must not throw: the recorded vector embeds the retained response.
-      st = tracker.apply_stitched(run.schedule.vectors[c],
-                                  run.schedule.shifts[c]);
+      ASSERT_NO_THROW(st = tracker.apply_stitched(run.schedule.vectors[c],
+                                                  run.schedule.shifts[c]))
+          << "cycle " << c;
     }
     // Per-cycle stats must match the engine's own trace.
     ASSERT_LT(c, run.cycles.size());
@@ -48,8 +45,6 @@ TEST_P(ScheduleReplay, ReplayReproducesRun) {
     EXPECT_EQ(st.caught_at_po, run.cycles[c].caught_at_po) << c;
     EXPECT_EQ(st.new_hidden, run.cycles[c].new_hidden) << c;
     EXPECT_EQ(st.hidden_after, run.cycles[c].hidden_after) << c;
-    replay_shift_catches += st.caught_at_shift;
-    replay_po_catches += st.caught_at_po;
   }
   if (run.schedule.terminal_observe > 0)
     tracker.terminal_observe(run.schedule.terminal_observe);
@@ -65,8 +60,34 @@ TEST_P(ScheduleReplay, ReplayReproducesRun) {
   EXPECT_GE(caught_targets, run.caught_stitched);
 }
 
+class ScheduleReplay : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ScheduleReplay, ReplayReproducesRun) {
+  CircuitLab lab(netgen::profile(GetParam()));
+  StitchOptions opts;
+  opts.seed = 17;
+  expect_replay_matches(lab, opts, lab.run(opts));
+}
+
 INSTANTIATE_TEST_SUITE_P(Circuits, ScheduleReplay,
                          ::testing::Values("s444", "s526"));
+
+// A cyclic shift schedule with distinct entries whose every entry fails
+// in a row falls through to bridge cycles.  Each bridge must be recorded
+// with the shift it actually applied (not the schedule entry the failed
+// lap advanced to), or the recorded program does not replay.
+TEST(ScheduleReplayBridge, ScheduleShiftBridgeCyclesReplay) {
+  CircuitLab lab(netgen::profile("s444"));
+  for (const std::vector<std::size_t>& sched :
+       {std::vector<std::size_t>{1, 2, 3},
+        std::vector<std::size_t>{3, 1, 2, 5}}) {
+    StitchOptions opts;
+    opts.seed = 5;
+    opts.shift_schedule = sched;
+    SCOPED_TRACE(::testing::PrintToString(sched));
+    expect_replay_matches(lab, opts, lab.run(opts));
+  }
+}
 
 TEST(ScheduleReplayExample, PaperCircuitScheduleIsValid) {
   CircuitLab lab("fig1", netgen::example_circuit());

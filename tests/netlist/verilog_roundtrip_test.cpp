@@ -109,7 +109,10 @@ endmodule
                             GateType::Nor, GateType::Xor,  GateType::Xnor,
                             GateType::Not, GateType::Buf};
   for (std::size_t i = 0; i < std::size(types); ++i) {
-    const std::string name = "y" + std::to_string(i + 1);
+    // Appended, not "y" + std::string: gcc 12 -O3 raises a -Wrestrict
+    // false positive on the operator+ form.
+    std::string name = "y";
+    name += std::to_string(i + 1);
     SCOPED_TRACE(name);
     ASSERT_NE(back.find(name), kNoGate);
     EXPECT_EQ(back.gate(back.find(name)).type, types[i]);

@@ -42,7 +42,6 @@ obs::CounterSet walk_snapshot(std::size_t threads) {
   StitchTracker tracker(nl, cf, scan::CaptureMode::Normal,
                         scan::ScanOutModel::direct(L));
   Rng rng(2026);
-  const scan::ScanChain map(nl);
 
   auto random_vector = [&](std::size_t s) {
     atpg::TestVector v;
@@ -50,10 +49,9 @@ obs::CounterSet walk_snapshot(std::size_t threads) {
     for (auto& b : v.pi) b = rng.bit();
     v.ppi.resize(L);
     for (std::size_t p = 0; p < L; ++p) {
-      const auto dff = map.dff_at(p);
-      v.ppi[dff] = (s < L && p >= s)
-                       ? tracker.chain().at(p - s)
-                       : static_cast<std::uint8_t>(rng.bit());
+      v.ppi[p] = (s < L && p >= s)
+                     ? tracker.chain().at(p - s)
+                     : static_cast<std::uint8_t>(rng.bit());
     }
     return v;
   };

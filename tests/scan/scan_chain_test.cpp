@@ -5,6 +5,7 @@
 #include "vcomp/util/assert.hpp"
 
 #include "vcomp/netgen/example_circuit.hpp"
+#include "vcomp/scan/fabric.hpp"
 #include "vcomp/util/rng.hpp"
 
 namespace vcomp::scan {
@@ -12,21 +13,25 @@ namespace {
 
 using Bits = std::vector<std::uint8_t>;
 
+// A one-chain Fabric is the plain scan chain: identity order by default.
 TEST(ScanChain, IdentityOrder) {
   auto nl = netgen::example_circuit();
-  ScanChain chain(nl);
-  EXPECT_EQ(chain.length(), 3u);
+  Fabric chain(nl);
+  EXPECT_EQ(chain.total_length(), 3u);
   for (std::size_t p = 0; p < 3; ++p) {
-    EXPECT_EQ(chain.dff_at(p), p);
+    EXPECT_EQ(chain.dff_at(0, p), p);
     EXPECT_EQ(chain.pos_of(static_cast<std::uint32_t>(p)), p);
   }
 }
 
+// A custom single-chain order must be a permutation of the flip-flops.
 TEST(ScanChain, CustomOrderValidated) {
   auto nl = netgen::example_circuit();
-  EXPECT_NO_THROW(ScanChain(nl, {2, 0, 1}));
-  EXPECT_THROW(ScanChain(nl, {0, 0, 1}), vcomp::ContractError);
-  EXPECT_THROW(ScanChain(nl, {0, 1}), vcomp::ContractError);
+  Fabric chain(nl, {{2u, 0u, 1u}});
+  EXPECT_EQ(chain.dff_at(0, 0), 2u);
+  EXPECT_EQ(chain.pos_of(2), 0u);
+  EXPECT_THROW(Fabric(nl, {{0u, 0u, 1u}}), vcomp::ContractError);
+  EXPECT_THROW(Fabric(nl, {{0u, 1u}}), vcomp::ContractError);
 }
 
 // The paper's stitching example: state 111 (a,b,c), shift in "00"; the

@@ -81,6 +81,27 @@ TEST(Protocol, RejectsUnknownConfigKeyAndBadValues) {
                    .has_value());
 }
 
+// The exact messages vcomp_stitch also prints for the same bad flags
+// (tests/cli pins the CLI side): both front doors share apply_config.
+TEST(Protocol, BadConfigValueMessages) {
+  auto error_for = [](const char* config) {
+    std::string err;
+    EXPECT_FALSE(parse_request(std::string(R"({"op":"submit","id":"a",)") +
+                                   R"("circuit":"x","config":)" + config +
+                                   "}",
+                               err)
+                     .has_value())
+        << config;
+    return err;
+  };
+  EXPECT_EQ(error_for(R"({"chains":"abc"})"),
+            "chains must be a positive integer");
+  EXPECT_EQ(error_for(R"({"chains":0})"), "chains must be a positive integer");
+  EXPECT_EQ(error_for(R"({"info":3})"), "info must be a number in (0,1]");
+  EXPECT_EQ(error_for(R"({"partition":"snake"})"),
+            "partition must be round-robin | contiguous | random");
+}
+
 TEST(Protocol, CircuitLabel) {
   EXPECT_EQ(circuit_label("gen:s444", false), "gen:s444");
   EXPECT_EQ(circuit_label("gen:s38417", true), "gen:s38417#full");

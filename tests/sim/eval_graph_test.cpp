@@ -5,8 +5,9 @@
 // builder netlist's topo order, gathers fanin values into a scratch buffer
 // and calls the plain gate kernels — exactly what the simulators did before
 // the CSR/levelized refactor.  Random netgen circuits drive every engine
-// (WordSim, TernarySim, DiffSim, LaneSim) against that reference, and the
-// thread-count tests pin down that VCOMP_THREADS never leaks into results.
+// (WordSim, TernarySim, DiffSim, BlockLaneSim) against that reference (the
+// check harness's naive evaluators), and the thread-count tests pin down
+// that VCOMP_THREADS never leaks into results.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +16,9 @@
 #include <vector>
 
 #include "vcomp/atpg/test_set.hpp"
+#include "vcomp/check/reference.hpp"
+#include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/fault/fault.hpp"
-#include "vcomp/fault/fault_parallel_sim.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/netgen/netgen.hpp"
 #include "vcomp/sim/eval_graph.hpp"
@@ -32,7 +34,6 @@ namespace {
 
 using fault::Fault;
 using netlist::GateId;
-using netlist::GateType;
 using netlist::Netlist;
 
 Netlist circuit(const char* name, std::uint64_t seed) {
@@ -41,55 +42,9 @@ Netlist circuit(const char* name, std::uint64_t seed) {
   return netgen::generate(p);
 }
 
-bool is_source(GateType t) {
-  return t == GateType::Input || t == GateType::Dff;
-}
-
-// ---- naive reference evaluators (old-path semantics) ----------------------
-
-/// Gather-based topo walk over the builder netlist, no compiled structure.
-void ref_word_eval(const Netlist& nl, std::vector<Word>& vals) {
-  std::vector<Word> scratch;
-  for (GateId id : nl.topo_order()) {
-    const auto& g = nl.gate(id);
-    scratch.clear();
-    for (GateId f : g.fanin) scratch.push_back(vals[f]);
-    vals[id] = word_eval(g.type, scratch);
-  }
-}
-
-/// Same walk with a stuck-at fault wedged in: stems override the signal,
-/// branches override one sink pin.
-void ref_faulty_eval(const Netlist& nl, std::vector<Word>& vals,
-                     const Fault& f) {
-  const Word stuck = f.stuck ? ~Word{0} : Word{0};
-  if (f.is_stem() && is_source(nl.gate(f.gate).type)) vals[f.gate] = stuck;
-  std::vector<Word> scratch;
-  for (GateId id : nl.topo_order()) {
-    const auto& g = nl.gate(id);
-    scratch.clear();
-    for (std::size_t k = 0; k < g.fanin.size(); ++k) {
-      Word w = vals[g.fanin[k]];
-      if (!f.is_stem() && f.gate == id &&
-          static_cast<std::int16_t>(k) == f.pin)
-        w = stuck;
-      scratch.push_back(w);
-    }
-    Word v = word_eval(g.type, scratch);
-    if (f.is_stem() && f.gate == id) v = stuck;
-    vals[id] = v;
-  }
-}
-
-/// Captured next-state of flip-flop \p i under \p f (handles D-pin branches).
-Word ref_faulty_next(const Netlist& nl, const std::vector<Word>& vals,
-                     const Fault& f, std::size_t i) {
-  const GateId dff = nl.dffs()[i];
-  Word w = vals[nl.gate(dff).fanin[0]];
-  if (!f.is_stem() && f.gate == dff && f.pin == 0)
-    w = f.stuck ? ~Word{0} : Word{0};
-  return w;
-}
+using check::ref_faulty_eval;
+using check::ref_next_state;
+using check::ref_word_eval;
 
 std::vector<Word> random_sources(const Netlist& nl, Rng& rng) {
   std::vector<Word> vals(nl.num_gates(), 0);
@@ -226,8 +181,8 @@ TEST(EvalGraphGolden, DiffSimMatchesForkedReference) {
       for (GateId po : nl.outputs()) po_any |= good[po] ^ bad[po];
       std::map<std::uint32_t, Word> ppo;
       for (std::size_t i = 0; i < nl.num_dffs(); ++i) {
-        const Word d = ref_faulty_next(nl, good, Fault{}, i) ^
-                       ref_faulty_next(nl, bad, f, i);
+        const Word d = ref_next_state(nl, good, nullptr, i) ^
+                       ref_next_state(nl, bad, &f, i);
         if (d != 0) ppo[static_cast<std::uint32_t>(i)] = d;
       }
 
@@ -241,38 +196,43 @@ TEST(EvalGraphGolden, DiffSimMatchesForkedReference) {
   }
 }
 
+// The lane simulator (BlockLaneSim) against the forked reference.
 TEST(EvalGraphGolden, LaneSimMatchesForkedReference) {
   Rng rng(19);
   const Netlist nl = circuit("s444", 31);
   const auto faults = fault::full_fault_universe(nl);
-  fault::LaneSim sim(nl);
+  fault::BlockLaneSim sim(EvalGraph::compile(nl));
 
-  // One single-pattern stimulus (bit 0 of a random word per source).
-  const std::vector<Word> src = random_sources(nl, rng);
+  // PIs broadcast bit 0 of a random word per input; lane k's state is bit
+  // k % 64 of a random word per flip-flop.
+  std::vector<Word> src = random_sources(nl, rng);
+  for (GateId g : nl.inputs()) src[g] = (src[g] & 1) != 0 ? ~Word{0} : 0;
 
-  for (std::size_t base = 0; base < faults.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, faults.size() - base);
+  for (std::size_t base = 0; base < faults.size(); base += kBlockLanes) {
+    const std::size_t count =
+        std::min<std::size_t>(kBlockLanes, faults.size() - base);
     sim.clear();
-    for (std::size_t k = 0; k < count; ++k) {
-      const int lane = sim.add_lane();
-      for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-        sim.set_pi(lane, i, src[nl.inputs()[i]] & 1);
-      for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-        sim.set_state(lane, i, src[nl.dffs()[i]] & 1);
-      sim.inject(lane, faults[base + k]);
-    }
+    for (std::size_t k = 0; k < count; ++k)
+      sim.inject(sim.add_lane(), faults[base + k]);
+    for (std::size_t i = 0; i < nl.num_inputs(); ++i)
+      sim.set_pi_all(i, src[nl.inputs()[i]] != 0);
+    for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+      for (std::size_t w = 0; w < kBlockWords; ++w)
+        sim.set_state_word(i, w, src[nl.dffs()[i]]);
     sim.eval();
     for (std::size_t k = 0; k < count; ++k) {
       const Fault& f = faults[base + k];
       std::vector<Word> bad = src;
       ref_faulty_eval(nl, bad, f);
+      const std::size_t bit = k % 64;
       for (std::size_t o = 0; o < nl.num_outputs(); ++o)
-        ASSERT_EQ(sim.output(static_cast<int>(k), o),
-                  static_cast<bool>(bad[nl.outputs()[o]] & 1))
+        ASSERT_EQ(sim.output_block(o).lane(k),
+                  static_cast<bool>((bad[nl.outputs()[o]] >> bit) & 1))
             << fault::fault_name(nl, f) << " po " << o;
       for (std::size_t i = 0; i < nl.num_dffs(); ++i)
-        ASSERT_EQ(sim.next_state(static_cast<int>(k), i),
-                  static_cast<bool>(ref_faulty_next(nl, bad, f, i) & 1))
+        ASSERT_EQ(sim.next_state_block(i).lane(k),
+                  static_cast<bool>((ref_next_state(nl, bad, &f, i) >> bit) &
+                                    1))
             << fault::fault_name(nl, f) << " dff " << i;
     }
   }

@@ -71,6 +71,8 @@ def main():
                          "committed BENCH_learned.json")
     args = ap.parse_args()
 
+    if not os.path.isfile(args.baseline):
+        raise SystemExit(f"baseline not found: {args.baseline}")
     with open(args.fresh) as f:
         fresh_doc = json.load(f)
     with open(args.baseline) as f:

@@ -11,9 +11,7 @@
 //     --shift <n|ga|var>  fixed shift size <n>; "var" = the escalating
 //                         variable policy (the default); "ga" = evolve a
 //                         per-cycle shift schedule with the genetic search
-//                         (core/ga_schedule) and apply the winner.
-//                         VCOMP_SHIFT sets the default when the flag is
-//                         absent
+//                         (core/ga_schedule) and apply the winner
 //     --info <r>          fixed shift at info point r in (0,1]
 //     --ga-pop <n>        GA population size (default 12)
 //     --ga-gens <n>       GA generations (default 8)
@@ -21,15 +19,12 @@
 //     --chains <n>        split the scan fabric into n parallel chains
 //                         (default 1: the classic single-chain flow)
 //     --partition <p>     round-robin (default) | contiguous | random
-//                         DFF→chain assignment; VCOMP_PARTITION sets the
-//                         default when the flag is absent
+//                         DFF→chain assignment
 //     --partition-seed <n> seed for --partition random
 //     --full-scale        lift the netgen gate-budget cap on gen:s38417 /
 //                         gen:s38584 (original gate counts; slower)
 //     --selection <s>     random | hardness | most-faults (default) | adi
-//                         (ascending Accidental Detection Index order);
-//                         VCOMP_SELECTION sets the default when the flag
-//                         is absent
+//                         (ascending Accidental Detection Index order)
 //     --atpg <e>          podem | sat | race constrained-ATPG engine
 //                         (default: VCOMP_ATPG, else podem; race runs
 //                         PODEM first and falls through to the built-in
@@ -52,12 +47,19 @@
 //     --trace <file>      capture scoped spans and write Chrome-trace JSON
 //                         (load in chrome://tracing or Perfetto)
 //
-// Exit code 0 iff coverage is fully preserved.
+// The job flags (--chains, --partition, --partition-seed, --shift <n>,
+// --info, --selection, --atpg, --capture, --hxor, --seed, --full-scale) are
+// the vcomp_serve config keys: they are validated by serve::apply_config
+// before any netlist is built, so the CLI and the daemon accept and reject
+// the same values with the same messages.
+//
+// Exit code 0 iff coverage is fully preserved; 2 on a usage or input error.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "vcomp/core/experiment.hpp"
@@ -91,35 +93,19 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parse_selection(const std::string& s, core::SelectionPolicy& out) {
-  if (s == "random") out = core::SelectionPolicy::Random;
-  else if (s == "hardness") out = core::SelectionPolicy::Hardness;
-  else if (s == "most-faults") out = core::SelectionPolicy::MostFaults;
-  else if (s == "adi") out = core::SelectionPolicy::Adi;
-  else return false;
-  return true;
-}
+/// Flags that map one-to-one onto serve config keys ("--partition-seed"
+/// -> "partition_seed").
+constexpr const char* kJobFlags[] = {"--chains", "--partition",
+                                     "--partition-seed", "--info",
+                                     "--selection", "--atpg", "--capture",
+                                     "--hxor", "--seed"};
 
-/// "ga" = GA schedule search, "var" = variable policy, else a fixed shift
-/// size.  Shared by --shift and the VCOMP_SHIFT env default.
-bool parse_shift(const std::string& s, std::size_t& fixed, bool& ga_mode) {
-  if (s == "ga") {
-    ga_mode = true;
-    fixed = 0;
-    return true;
-  }
-  if (s == "var") {
-    ga_mode = false;
-    fixed = 0;
-    return true;
-  }
-  try {
-    fixed = std::stoul(s);
-  } catch (const std::exception&) {
-    return false;
-  }
-  ga_mode = false;
-  return true;
+/// A flag value as the daemon would receive it: a JSON number stays a
+/// number, anything else is a string, so "--chains abc" fails the same
+/// "chains must be a positive integer" check a daemon job does.
+serve::Json flag_value(const char* v) {
+  const auto j = serve::Json::parse(v);
+  return j && j->is_number() ? *j : serve::Json::string(v);
 }
 
 void print_profile(const core::PhaseProfile& p) {
@@ -151,33 +137,10 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   const std::string path = argv[1];
   std::string out_path, metrics_path, trace_path, row_path;
-  core::StitchOptions opts;
   core::GaOptions gopts;
-  double info = 0.0;
   bool profile = false;
-  bool full_scale = false;
   bool ga_mode = false;
-
-  try {
-    opts.partition = scan::partition_from_env();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  // Env defaults; flags below override them.
-  if (const char* e = std::getenv("VCOMP_SELECTION")) {
-    if (!parse_selection(e, opts.selection)) {
-      std::fprintf(stderr, "VCOMP_SELECTION: unknown policy \"%s\"\n", e);
-      return 2;
-    }
-  }
-  if (const char* e = std::getenv("VCOMP_SHIFT")) {
-    if (!parse_shift(e, opts.fixed_shift, ga_mode)) {
-      std::fprintf(stderr, "VCOMP_SHIFT: expected a number, \"ga\" or "
-                   "\"var\", got \"%s\"\n", e);
-      return 2;
-    }
-  }
+  serve::Json config = serve::Json::object();
 
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
@@ -188,44 +151,54 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (a == "--out") out_path = need("--out");
-    else if (a == "--shift") {
-      if (!parse_shift(need("--shift"), opts.fixed_shift, ga_mode))
-        return usage(argv[0]);
-    } else if (a == "--ga-pop") gopts.population = std::stoul(need("--ga-pop"));
-    else if (a == "--ga-gens")
-      gopts.generations = std::stoul(need("--ga-gens"));
-    else if (a == "--ga-genes") gopts.genes = std::stoul(need("--ga-genes"));
-    else if (a == "--info") info = std::stod(need("--info"));
-    else if (a == "--seed") opts.seed = std::stoull(need("--seed"));
+    // CLI-only counts: digits only, so "abc" or "-1" exit 2 instead of
+    // aborting or wrapping around.
+    auto count = [&](const char* what) -> std::size_t {
+      const char* v = need(what);
+      char* end = nullptr;
+      const unsigned long long n = std::strtoull(v, &end, 10);
+      if (*v < '0' || *v > '9' || *end != '\0') {
+        std::fprintf(stderr, "error: %s expects a non-negative integer, "
+                     "got \"%s\"\n", what, v);
+        std::exit(2);
+      }
+      return static_cast<std::size_t>(n);
+    };
+    if (std::find(std::begin(kJobFlags), std::end(kJobFlags), a) !=
+        std::end(kJobFlags)) {
+      std::string key = a.substr(2);
+      std::replace(key.begin(), key.end(), '-', '_');
+      config.set(std::move(key), flag_value(need(a.c_str())));
+    } else if (a == "--shift") {
+      // "ga" and "var" are CLI-only; a number is the shared shift key.
+      const std::string v = need("--shift");
+      ga_mode = v == "ga";
+      config.set("shift", ga_mode || v == "var" ? serve::Json::integer(0)
+                                                : flag_value(v.c_str()));
+    } else if (a == "--full-scale")
+      config.set("full_scale", serve::Json::boolean(true));
+    else if (a == "--out") out_path = need("--out");
+    else if (a == "--ga-pop") gopts.population = count("--ga-pop");
+    else if (a == "--ga-gens") gopts.generations = count("--ga-gens");
+    else if (a == "--ga-genes") gopts.genes = count("--ga-genes");
     else if (a == "--threads")
-      util::ThreadPool::instance().configure(std::stoul(need("--threads")));
-    else if (a == "--hxor") opts.hxor_taps = std::stoul(need("--hxor"));
-    else if (a == "--chains") opts.num_chains = std::stoul(need("--chains"));
-    else if (a == "--partition") {
-      if (!scan::partition_from_string(need("--partition"), opts.partition))
-        return usage(argv[0]);
-    } else if (a == "--partition-seed")
-      opts.partition_seed = std::stoull(need("--partition-seed"));
-    else if (a == "--full-scale") full_scale = true;
+      util::ThreadPool::instance().configure(count("--threads"));
     else if (a == "--profile") profile = true;
     else if (a == "--row") row_path = need("--row");
     else if (a == "--metrics") metrics_path = need("--metrics");
     else if (a == "--trace") trace_path = need("--trace");
-    else if (a == "--capture") {
-      const std::string c = need("--capture");
-      if (c == "vxor") opts.capture = scan::CaptureMode::VXor;
-      else if (c != "normal") return usage(argv[0]);
-    } else if (a == "--atpg") {
-      if (!atpg::engine_kind_from_string(need("--atpg"), opts.atpg_engine))
-        return usage(argv[0]);
-    } else if (a == "--selection") {
-      if (!parse_selection(need("--selection"), opts.selection))
-        return usage(argv[0]);
-    } else {
-      return usage(argv[0]);
-    }
+    else return usage(argv[0]);
   }
+
+  serve::JobSpec spec;
+  std::string error;
+  if (!serve::apply_config(config, spec, error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
+  core::StitchOptions opts = spec.options;
+  const double info = spec.info;
+  const bool full_scale = spec.full_scale;
 
   if (ga_mode && info > 0.0) {
     std::fprintf(stderr, "--shift ga and --info are mutually exclusive\n");
