@@ -66,16 +66,12 @@ int main() {
     std::vector<core::StitchOptions> sweep(kCfgs);
     for (std::size_t k = 0; k < kCfgs; ++k) sweep[k].selection = cfgs[k].sel;
     // One shared lab, all four strategy rows fanned out together.
-    const auto results = lab.run_many(sweep);
-    const double sweep_seconds = sw.seconds();
+    const auto timed = benchutil::run_timed(lab, sweep);
     for (std::size_t k = 0; k < kCfgs; ++k) {
-      const auto& r = results[k];
+      const auto& r = timed[k].result;
       avg[k][0].add(r.memory_ratio);
       avg[k][1].add(r.time_ratio);
-      // Per-row seconds are the whole sweep's wall time (the rows ran
-      // concurrently; only the aggregate is meaningful).
-      json.add(lab.name(), core::to_string(cfgs[k].sel),
-               benchutil::TimedResult{r, sweep_seconds});
+      json.add(lab.name(), core::to_string(cfgs[k].sel), timed[k]);
       table.add_row({lab.name(), core::to_string(cfgs[k].sel),
                      report::Table::num(r.vectors_applied),
                      report::Table::num(r.extra_full_vectors),

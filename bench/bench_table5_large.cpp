@@ -44,16 +44,16 @@ int main() {
   // of each profile is one independent task on the process pool.
   struct Run {
     std::size_t atv = 0;
-    core::StitchResult result;
-    double seconds = 0;
+    benchutil::TimedResult timed;  // seconds include the lab's baseline
   };
   const auto runs = util::parallel_map(profiles.size(), [&](std::size_t i) {
     benchutil::Stopwatch sw;
     core::CircuitLab lab(profiles[i]);
     Run run;
     run.atv = lab.atv();
-    run.result = lab.run(core::StitchOptions{});
-    run.seconds = sw.seconds();
+    run.timed.counters = obs::scoped_counters(
+        [&] { run.timed.result = lab.run(core::StitchOptions{}); });
+    run.timed.seconds = sw.seconds();
     std::fprintf(stderr, "[table5] %s done in %.1fs\n",
                  profiles[i].name.c_str(), sw.seconds());
     return run;
@@ -61,11 +61,11 @@ int main() {
 
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     const auto& prof = profiles[i];
-    const auto& r = runs[i].result;
+    const auto& r = runs[i].timed.result;
     avg_m.add(r.memory_ratio);
     avg_t.add(r.time_ratio);
     const auto& ref = kPaper.at(prof.name);
-    json.add(prof.name, "final", {r, runs[i].seconds});
+    json.add(prof.name, "final", runs[i].timed);
     table.add_row({prof.name,
                    std::to_string(prof.num_pi) + "/" +
                        std::to_string(prof.num_po),

@@ -7,9 +7,9 @@
 //  * ga  — a per-cycle shift schedule evolved by core::evolve_schedule
 //    (quick-fitness search, seed pinned), then re-run at full strength.
 //
-// Each row runs under a scoped obs window, so its counters cover the whole
-// learned flow (GA search evals included) and are byte-identical for every
-// VCOMP_THREADS value — tools/check_bench.py gates them exactly, and the
+// Each row runs under a scoped obs window (benchutil::timed), so its
+// counters cover the whole learned flow (GA search evals included) and are
+// byte-identical for every VCOMP_THREADS value — tools/check_bench.py gates them exactly, and the
 // committed BENCH_learned.json doubles as a cross-machine determinism
 // artifact for the learned paths.
 //
@@ -21,7 +21,6 @@
 
 #include "bench_util.hpp"
 #include "vcomp/core/ga_schedule.hpp"
-#include "vcomp/obs/obs.hpp"
 
 using namespace vcomp;
 
@@ -35,24 +34,6 @@ const std::map<std::string, double> kPaperBestFixedM = {
     {"s1423", 0.73},
     {"s5378", 0.77},
 };
-
-/// Runs \p body under a fresh scoped obs window and returns the window's
-/// counters — the same pattern the serve daemon and vcomp_stitch --row use,
-/// so the captured counters are thread-count invariant by the same
-/// contract.
-template <typename Body>
-obs::CounterSet scoped_counters(Body&& body) {
-  const std::uint64_t token = util::new_task_token();
-  obs::Registry::instance().begin_scope(token);
-  {
-    const util::ScopedTaskContext scope(util::TaskContext{token, nullptr});
-    body();
-  }
-  obs::CounterSet counters =
-      obs::Registry::instance().snapshot_scope(token).counters_only();
-  obs::Registry::instance().end_scope(token);
-  return counters;
-}
 
 }  // namespace
 
@@ -72,10 +53,8 @@ int main() {
   for (const auto& lab_ptr : labs) {
     const auto& lab = *lab_ptr;
     const double paper_best = kPaperBestFixedM.at(lab.name());
-    auto emit = [&](const char* config, const benchutil::TimedResult& tr,
-                    obs::CounterSet counters) {
-      json.add(lab.name(), config, tr, std::move(counters),
-               {{"paper_best_m", paper_best}});
+    auto emit = [&](const char* config, const benchutil::TimedResult& tr) {
+      json.add(lab.name(), config, tr, {{"paper_best_m", paper_best}});
       table.add_row({lab.name(), config,
                      report::Table::num(tr.result.vectors_applied),
                      report::Table::num(tr.result.extra_full_vectors),
@@ -88,12 +67,9 @@ int main() {
     {
       core::StitchOptions opts;
       opts.selection = core::SelectionPolicy::Adi;
-      benchutil::Stopwatch sw;
-      benchutil::TimedResult tr;
-      const obs::CounterSet counters =
-          scoped_counters([&] { tr.result = lab.run(opts); });
-      tr.seconds = sw.seconds();
-      emit("adi", tr, counters);
+      const benchutil::TimedResult tr = benchutil::timed(
+          [&](core::StitchResult& r) { r = lab.run(opts); });
+      emit("adi", tr);
       std::fprintf(stderr, "[learned] %s adi done in %.1fs\n",
                    lab.name().c_str(), tr.seconds);
     }
@@ -106,15 +82,13 @@ int main() {
       gopts.population = 6;
       gopts.generations = 3;
       gopts.genes = 8;
-      benchutil::Stopwatch sw;
-      benchutil::TimedResult tr;
       core::GaResult gr;
-      const obs::CounterSet counters = scoped_counters([&] {
-        gr = core::evolve_schedule(lab, opts, gopts);
-        tr.result = lab.run(core::apply_ga_schedule(opts, gr));
-      });
-      tr.seconds = sw.seconds();
-      emit("ga", tr, counters);
+      const benchutil::TimedResult tr =
+          benchutil::timed([&](core::StitchResult& r) {
+            gr = core::evolve_schedule(lab, opts, gopts);
+            r = lab.run(core::apply_ga_schedule(opts, gr));
+          });
+      emit("ga", tr);
       std::fprintf(stderr,
                    "[learned] %s ga done in %.1fs (%zu evals, quick m "
                    "trajectory %.3f -> %.3f)\n",

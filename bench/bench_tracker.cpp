@@ -2,7 +2,7 @@
 //
 // Drives a StitchTracker through a scripted random stitched walk (the same
 // shape as tests/core/tracker_test.cpp, minus the assertions) and reports
-// the tracker's own per-phase counters:
+// the tracker's per-phase seconds against the walk's scoped work counters:
 //  * classify_faults_per_sec — sharded uncaught-fault DiffSim queries/s;
 //  * advance_lanes_per_sec   — 64-lane hidden-fault advance lanes/s;
 //  * shift_seconds           — scan-shift + hidden-chain compare time;
@@ -40,7 +40,7 @@ struct TrackerRow {
   double classify_faults_per_sec = 0;
   double advance_lanes_per_sec = 0;
   double shift_seconds = 0;
-  obs::CounterSet counters;  // exact work counters, thread-invariant
+  obs::CounterSet counters;  // the walk's scoped counters, thread-invariant
 };
 
 TrackerRow bench_circuit(const netgen::CircuitProfile& profile,
@@ -74,24 +74,28 @@ TrackerRow bench_circuit(const netgen::CircuitProfile& profile,
   };
 
   Stopwatch sw;
-  tracker.apply_first(random_vector(L));
-  // Small shifts keep the hidden set populated (big shifts flush it), so
-  // the advance phase stays busy for the whole walk.
-  const std::size_t max_s = L < 8 ? L : L / 4;
-  for (std::size_t c = 1; c < cycles; ++c) {
-    const std::size_t s = 1 + rng.below(max_s);
-    tracker.apply_stitched(random_vector(s), s);
-  }
+  row.counters = obs::scoped_counters([&] {
+    tracker.apply_first(random_vector(L));
+    // Small shifts keep the hidden set populated (big shifts flush it), so
+    // the advance phase stays busy for the whole walk.
+    const std::size_t max_s = L < 8 ? L : L / 4;
+    for (std::size_t c = 1; c < cycles; ++c) {
+      const std::size_t s = 1 + rng.below(max_s);
+      tracker.apply_stitched(random_vector(s), s);
+    }
+  });
   row.seconds = sw.seconds();
 
   const core::TrackerProfile& p = tracker.profile();
   if (p.classify_seconds > 0)
     row.classify_faults_per_sec =
-        double(p.faults_classified) / p.classify_seconds;
+        double(row.counters.get("tracker.faults_classified")) /
+        p.classify_seconds;
   if (p.advance_seconds > 0)
-    row.advance_lanes_per_sec = double(p.hidden_advanced) / p.advance_seconds;
+    row.advance_lanes_per_sec =
+        double(row.counters.get("tracker.hidden_advanced")) /
+        p.advance_seconds;
   row.shift_seconds = p.shift_seconds;
-  row.counters = p.counters_only();
   return row;
 }
 

@@ -130,12 +130,25 @@ class RatioAverager {
   std::size_t n_ = 0;
 };
 
-/// One stitching run plus the wall time it took (measured inside the
-/// parallel task, so per-config timings stay meaningful under run_many).
+/// One stitching run, the wall time it took (measured inside the parallel
+/// task, so per-config timings stay meaningful when configs run
+/// concurrently) and the work counters of its scoped obs window.
 struct TimedResult {
   core::StitchResult result;
   double seconds = 0;
+  obs::CounterSet counters;  ///< byte-identical across thread counts
 };
+
+/// Times \p body and collects its scoped counters into a TimedResult;
+/// \p body fills in the result.
+template <typename Body>
+TimedResult timed(Body&& body) {
+  Stopwatch sw;
+  TimedResult tr;
+  tr.counters = obs::scoped_counters([&] { body(tr.result); });
+  tr.seconds = sw.seconds();
+  return tr;
+}
 
 /// Runs every configuration of a sweep concurrently, timing each one.
 /// Results are positionally identical to serial lab.run() calls.
@@ -143,11 +156,7 @@ inline std::vector<TimedResult> run_timed(
     const core::CircuitLab& lab,
     const std::vector<core::StitchOptions>& options) {
   return util::parallel_map(options.size(), [&](std::size_t i) {
-    Stopwatch sw;
-    TimedResult tr;
-    tr.result = lab.run(options[i]);
-    tr.seconds = sw.seconds();
-    return tr;
+    return timed([&](core::StitchResult& r) { r = lab.run(options[i]); });
   });
 }
 
@@ -161,20 +170,13 @@ class BenchJson {
                      std::string default_path = "BENCH_stitch.json")
       : bench_(std::move(bench)), default_path_(std::move(default_path)) {}
 
+  /// Records one row: the run's m/t/TV/ex and scoped counters (gated
+  /// exactly by tools/check_bench.py), its seconds (gated with a
+  /// tolerance), and \p extras, named numeric fields that ride outside
+  /// the gated set unless named like a time/rate field, so reference
+  /// values (paper numbers) are safe there.
   void add(const std::string& circuit, const std::string& config,
-           const TimedResult& tr) {
-    // Run-local work counters (no wall-clock fields): byte-identical across
-    // thread counts, so tools/check_bench.py gates them exactly.
-    add(circuit, config, tr, tr.result.profile.counters_only());
-  }
-
-  /// Full-control overload: \p counters replaces the profile counters (a
-  /// scoped obs window that also covers pre-run search work, say) and
-  /// \p extras appends named numeric fields to the row.  Extra fields ride
-  /// outside check_bench.py's gated set unless named like a time/rate
-  /// field, so reference values (paper numbers) are safe here.
-  void add(const std::string& circuit, const std::string& config,
-           const TimedResult& tr, obs::CounterSet counters,
+           const TimedResult& tr,
            std::vector<std::pair<std::string, double>> extras = {}) {
     Row r;
     r.circuit = circuit;
@@ -184,7 +186,7 @@ class BenchJson {
     r.t = tr.result.time_ratio;
     r.tv = tr.result.vectors_applied;
     r.ex = tr.result.extra_full_vectors;
-    r.counters = std::move(counters);
+    r.counters = tr.counters;
     r.extras = std::move(extras);
     rows_.push_back(std::move(r));
   }

@@ -148,7 +148,8 @@ struct StitchedSchedule {
 /// Per-phase wall-clock breakdown of one stitched run (monotonic clock).
 /// Measurement only — timings never feed back into the computed schedule,
 /// so results stay byte-identical for every thread count.  Surfaced by
-/// `vcomp_stitch --profile` and the bench_tracker throughput bench.
+/// `vcomp_stitch --profile`.  Work counts live in the obs registry; take a
+/// per-run view with obs::scoped_counters.
 struct PhaseProfile {
   double podem_seconds = 0;     ///< constrained PODEM cube search
   double scoring_seconds = 0;   ///< MostFaults completion scoring
@@ -157,34 +158,6 @@ struct PhaseProfile {
   double advance_seconds = 0;   ///< tracker 64-lane hidden advance
   double terminal_seconds = 0;  ///< terminal observes + ex-phase dropping
   double total_seconds = 0;     ///< whole StitchEngine::run call
-  std::size_t faults_classified = 0;  ///< DiffSim classification queries
-  std::size_t hidden_advanced = 0;    ///< BlockLaneSim lanes evaluated
-  std::size_t podem_calls = 0;        ///< constrained generate() attempts
-  std::size_t podem_backtracks = 0;   ///< backtracks across those calls
-  std::size_t cubes_found = 0;        ///< successful cubes collected
-  std::size_t candidates_scored = 0;  ///< MostFaults completions scored
-  std::size_t aborted = 0;            ///< generate() calls ending Aborted
-  std::size_t aborted_faults = 0;     ///< distinct faults ever Aborted
-  std::size_t sat_calls = 0;          ///< SAT solver invocations
-  std::size_t sat_conflicts = 0;      ///< CDCL conflicts across those calls
-
-  /// Deterministic view for comparisons and bench JSON: the work counters
-  /// without the wall-clock fields (which vary run to run and machine to
-  /// machine).  Byte-identical across VCOMP_THREADS values.
-  obs::CounterSet counters_only() const {
-    obs::CounterSet cs;
-    cs.values.emplace_back("atpg.aborted_faults", aborted_faults);
-    cs.values.emplace_back("atpg.sat_calls", sat_calls);
-    cs.values.emplace_back("atpg.sat_conflicts", sat_conflicts);
-    cs.values.emplace_back("stitch.aborted", aborted);
-    cs.values.emplace_back("stitch.candidates_scored", candidates_scored);
-    cs.values.emplace_back("stitch.cubes_found", cubes_found);
-    cs.values.emplace_back("stitch.podem_backtracks", podem_backtracks);
-    cs.values.emplace_back("stitch.podem_calls", podem_calls);
-    cs.values.emplace_back("tracker.faults_classified", faults_classified);
-    cs.values.emplace_back("tracker.hidden_advanced", hidden_advanced);
-    return cs;
-  }
 };
 
 struct StitchResult {
@@ -247,7 +220,7 @@ class StitchEngine {
   std::optional<Candidate> generate(const FaultSets& sets,
                                     const scan::FabricState& state,
                                     const scan::ShiftPlan& plan,
-                                    bool first_vector, std::size_t cycle);
+                                    bool first_vector);
   void load_scoring_sim(fault::DiffSim& sim, const atpg::TestVector& v);
 
   const netlist::Netlist* nl_;
@@ -276,18 +249,10 @@ class StitchEngine {
   // Accumulated engine-side phase timings (the tracker holds its own).
   double podem_seconds_ = 0;
   double scoring_seconds_ = 0;
-  // Engine-side work counters feeding PhaseProfile::counters_only().
-  std::size_t podem_calls_ = 0;
-  std::size_t podem_backtracks_ = 0;
-  std::size_t cubes_found_ = 0;
-  std::size_t candidates_scored_ = 0;
-  std::size_t aborted_ = 0;
-  std::size_t sat_calls_ = 0;
-  std::size_t sat_conflicts_ = 0;
 
   std::vector<std::size_t> order_;       // target walk order
   std::vector<std::uint8_t> targetable_; // baseline-detected faults
-  // Per-fault Aborted stamps (distinct-fault counter for the profile).
+  // Per-fault Aborted stamps: a 0 -> 1 flip bumps atpg.aborted_faults.
   std::vector<std::uint8_t> aborted_fault_;
   // Cached unconstrained Untestable verdicts: combinational redundancy is
   // schedule-independent, so a fault proven redundant with no pinned scan

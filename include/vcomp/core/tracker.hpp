@@ -44,7 +44,6 @@
 #include "vcomp/fault/compact_model.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/core/fault_sets.hpp"
-#include "vcomp/obs/metrics.hpp"
 #include "vcomp/scan/observe.hpp"
 
 namespace vcomp::core {
@@ -61,25 +60,15 @@ struct CycleStats {
   friend bool operator==(const CycleStats&, const CycleStats&) = default;
 };
 
-/// Cumulative wall-clock per tracker phase (monotonic clock), plus the
-/// work counters the throughput benches divide by.  Timings are
-/// measurement only — they never feed back into the computation.
+/// Cumulative wall-clock per tracker phase (monotonic clock).  Timings are
+/// measurement only — they never feed back into the computation.  Work
+/// counts (tracker.faults_classified, tracker.hidden_advanced, …) live in
+/// the obs registry.
 struct TrackerProfile {
   double shift_seconds = 0;     ///< scan-shift + hidden-chain compare
   double classify_seconds = 0;  ///< sharded uncaught-fault classification
   double advance_seconds = 0;   ///< block-lane hidden-fault advance
   double terminal_seconds = 0;  ///< terminal/partial observation scans
-  std::size_t faults_classified = 0;  ///< DiffSim classification queries
-  std::size_t hidden_advanced = 0;    ///< hidden-fault lanes evaluated
-
-  /// Deterministic view for comparisons: the work counters without the
-  /// wall-clock fields, so tests never depend on machine speed.
-  obs::CounterSet counters_only() const {
-    obs::CounterSet cs;
-    cs.values.emplace_back("tracker.faults_classified", faults_classified);
-    cs.values.emplace_back("tracker.hidden_advanced", hidden_advanced);
-    return cs;
-  }
 };
 
 class StitchTracker {
@@ -156,7 +145,7 @@ class StitchTracker {
   std::size_t cycle() const { return cycle_; }
   const netlist::Netlist& netlist() const { return *nl_; }
 
-  /// Cumulative per-phase wall-clock and work counters.
+  /// Cumulative per-phase wall-clock.
   const TrackerProfile& profile() const { return profile_; }
 
   /// Catch cycle of fault \p i (requires it to be caught).

@@ -21,13 +21,11 @@
 // engine's parallel layer guarantees), counters_only() is byte-identical
 // across thread counts.
 //
-// Runtime gate: VCOMP_OBS=0 in the environment disables collection (the
-// handles check one relaxed atomic bool).  Compile-time gate: configuring
-// with -DVCOMP_OBS=OFF defines VCOMP_OBS_DISABLED and the handle methods
-// compile to nothing.
+// The registry is always on: it is the one place work is counted, so
+// there is no switch that would silently empty it.
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -36,28 +34,12 @@
 
 namespace vcomp::obs {
 
-#ifndef VCOMP_OBS_DISABLED
 namespace detail {
-/// Runtime gate: 0 = not yet resolved from VCOMP_OBS, 1 = on, 2 = off.
-/// Constant-initialised, so it is safe to consult from any dynamic
-/// initialiser or thread without ordering concerns.
-extern std::atomic<int> g_metrics_state;
-bool enabled_slow();  // resolves the env var, publishes 1 or 2
-inline bool enabled() {
-  const int s = g_metrics_state.load(std::memory_order_relaxed);
-  return s == 1 || (s == 0 && enabled_slow());
-}
 void counter_add(std::uint32_t slot, std::uint64_t n);
 void gauge_max(std::uint32_t slot, std::uint64_t v);
 void histogram_record(std::uint32_t slot, std::uint64_t v);
 void timer_add(std::uint32_t slot, double seconds);
 }  // namespace detail
-#endif
-
-/// True when metric collection is active (compiled in + runtime-enabled).
-bool metrics_enabled();
-/// Flip the runtime gate (initial value comes from VCOMP_OBS, default on).
-void set_metrics_enabled(bool on);
 
 /// Monotonic event count.  Merge across threads: sum.
 class Counter {
@@ -65,11 +47,7 @@ class Counter {
   Counter() = default;
   void inc() const { add(1); }
   void add(std::uint64_t n) const {
-#ifndef VCOMP_OBS_DISABLED
-    if (n != 0 && detail::enabled()) detail::counter_add(slot_, n);
-#else
-    (void)n;
-#endif
+    if (n != 0) detail::counter_add(slot_, n);
   }
 
  private:
@@ -83,13 +61,7 @@ class Counter {
 class Gauge {
  public:
   Gauge() = default;
-  void record(std::uint64_t v) const {
-#ifndef VCOMP_OBS_DISABLED
-    if (detail::enabled()) detail::gauge_max(slot_, v);
-#else
-    (void)v;
-#endif
-  }
+  void record(std::uint64_t v) const { detail::gauge_max(slot_, v); }
 
  private:
   friend class Registry;
@@ -102,13 +74,7 @@ class Gauge {
 class Histogram {
  public:
   Histogram() = default;
-  void record(std::uint64_t v) const {
-#ifndef VCOMP_OBS_DISABLED
-    if (detail::enabled()) detail::histogram_record(slot_, v);
-#else
-    (void)v;
-#endif
-  }
+  void record(std::uint64_t v) const { detail::histogram_record(slot_, v); }
 
  private:
   friend class Registry;
@@ -121,13 +87,7 @@ class Histogram {
 class Timer {
  public:
   Timer() = default;
-  void add_seconds(double s) const {
-#ifndef VCOMP_OBS_DISABLED
-    if (detail::enabled()) detail::timer_add(slot_, s);
-#else
-    (void)s;
-#endif
-  }
+  void add_seconds(double s) const { detail::timer_add(slot_, s); }
 
  private:
   friend class Registry;
@@ -232,5 +192,16 @@ inline Histogram histogram(std::string_view name) {
 inline Timer timer(std::string_view name) {
   return Registry::instance().timer(name);
 }
+
+/// Runs \p body under a fresh scope token (util::new_task_token(), keeping
+/// the caller's parallelism cap) and returns the counters that scope
+/// collected: the per-run counts of work whose callers share one process
+/// (concurrent bench configs, CLI runs, oracle replays).  The serve daemon
+/// opens the same kind of window by hand around each job.
+///
+/// Scopes do not nest: end_scope folds a scope into the process-wide
+/// totals, not into an enclosing scope, so counts taken inside a nested
+/// scoped_counters() call are missing from the outer window.
+CounterSet scoped_counters(const std::function<void()>& body);
 
 }  // namespace vcomp::obs

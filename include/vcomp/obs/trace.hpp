@@ -2,7 +2,7 @@
 // vcomp::obs -- lightweight scoped spans exported as Chrome-trace JSON.
 //
 // Tracing is opt-in (set_trace_enabled(true), or the --trace flag on the
-// CLI tools) and entirely separate from the metrics gate: metrics stay
+// CLI tools) and entirely separate from the metrics registry: metrics stay
 // exact and deterministic whether or not a trace is being captured.
 // Events are complete-style ("ph":"X") records {name, ts, dur, tid}
 // appended to a mutex-guarded global buffer -- span granularity here is
@@ -44,7 +44,7 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Elapsed seconds so far (0 when neither tracing nor metrics active).
+  /// Elapsed seconds so far (0 when neither tracing nor a Timer wants it).
   double elapsed_seconds() const;
 
  private:
@@ -52,7 +52,7 @@ class Span {
   const char* name_;
   Timer timer_;
   bool has_timer_;
-  bool active_;       // either trace or metrics wanted a clock read
+  bool active_;       // tracing or the Timer wanted a clock read
   double start_us_;   // trace-epoch microseconds (valid when tracing)
   long long start_ns_;  // steady_clock ns (valid when active_)
 };

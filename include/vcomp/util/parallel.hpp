@@ -70,11 +70,11 @@ struct TaskContext {
 };
 
 /// Allocates a fresh, process-unique scope token (monotonic, never
-/// reused).  Every scoped-metrics window (serve jobs, `vcomp_stitch
-/// --row`) must draw its token here: per-thread metric sinks fold lazily
-/// on token *change*, so reusing a token while an idle pool worker still
-/// carries counts tagged with it would leak them into the new scope's
-/// snapshot.
+/// reused).  Every scoped-metrics window (serve jobs,
+/// obs::scoped_counters) must draw its token here: per-thread metric sinks
+/// fold lazily on token *change*, so reusing a token while an idle pool
+/// worker still carries counts tagged with it would leak them into the new
+/// scope's snapshot.
 std::uint64_t new_task_token();
 
 /// The calling thread's current task context.

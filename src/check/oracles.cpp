@@ -12,6 +12,7 @@
 #include "vcomp/fault/block_lane_sim.hpp"
 #include "vcomp/fault/compact_model.hpp"
 #include "vcomp/fault/fault_sim.hpp"
+#include "vcomp/obs/metrics.hpp"
 #include "vcomp/sim/block_sim.hpp"
 #include "vcomp/sim/simd_dispatch.hpp"
 #include "vcomp/sim/ternary_sim.hpp"
@@ -331,9 +332,9 @@ struct RefTrackerResult {
   std::unordered_map<std::uint32_t, std::size_t> catch_cycle;
   std::unordered_map<std::uint32_t, std::vector<std::uint8_t>> hidden_chain;
   std::size_t terminal_caught = 0;
-  // Work tallies mirroring TrackerProfile: uncaught faults classified and
-  // hidden faults advanced, counted per cycle the same way the tracker
-  // counts its sharded/64-lane work.
+  // Work tallies mirroring the tracker's registry counters: uncaught
+  // faults classified and hidden faults advanced, counted per cycle the
+  // same way the tracker counts its sharded/64-lane work.
   std::size_t faults_classified = 0;
   std::size_t hidden_advanced = 0;
 };
@@ -519,23 +520,25 @@ TrackerRun run_tracker(const Case& c, bool compact) {
       std::make_shared<const fault::CompactModel>(graph, c.faults.faults(),
                                                   compact));
   TrackerRun out;
-  out.cycles.push_back(tracker.apply_first(c.schedule.vectors[0]));
-  for (std::size_t ci = 1; ci < c.schedule.vectors.size(); ++ci) {
-    // Recorded per-chain plans are ground truth when present; otherwise
-    // the scalar overload apportions the master shift with plan_for.
-    if (!c.schedule.plans.empty())
-      out.cycles.push_back(tracker.apply_stitched(c.schedule.vectors[ci],
-                                                  c.schedule.plans[ci]));
-    else
-      out.cycles.push_back(tracker.apply_stitched(c.schedule.vectors[ci],
-                                                  c.schedule.shifts[ci]));
-  }
-  if (c.schedule.terminal_observe > 0)
-    out.terminal_caught = tracker.terminal_observe(c.schedule.terminal_observe);
+  // The replay's own scoped window: work counts of this run only, however
+  // many oracles share the process.
+  const obs::CounterSet counters = obs::scoped_counters([&] {
+    out.cycles.push_back(tracker.apply_first(c.schedule.vectors[0]));
+    for (std::size_t ci = 1; ci < c.schedule.vectors.size(); ++ci) {
+      // Recorded per-chain plans are ground truth when present; otherwise
+      // the scalar overload apportions the master shift with plan_for.
+      if (!c.schedule.plans.empty())
+        out.cycles.push_back(tracker.apply_stitched(c.schedule.vectors[ci],
+                                                    c.schedule.plans[ci]));
+      else
+        out.cycles.push_back(tracker.apply_stitched(c.schedule.vectors[ci],
+                                                    c.schedule.shifts[ci]));
+    }
+    if (c.schedule.terminal_observe > 0)
+      out.terminal_caught =
+          tracker.terminal_observe(c.schedule.terminal_observe);
+  });
   tracker.state().flat_bits(out.chain_ff);
-  // Read the work counters through the deterministic view (no wall-clock
-  // fields can leak into the comparison below).
-  const obs::CounterSet counters = tracker.profile().counters_only();
   out.faults_classified = counters.get("tracker.faults_classified");
   out.hidden_advanced = counters.get("tracker.hidden_advanced");
   for (std::uint32_t i : tracked_indices(c)) {

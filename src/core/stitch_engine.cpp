@@ -33,11 +33,11 @@ double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Engine-side registry metrics; the run-local copies of the same tallies
-// live in PhaseProfile (so bench rows stay comparable row by row no matter
-// which circuits a given invocation sweeps).
+// Engine-side registry metrics.  Per-run counts come from a scoped
+// snapshot (obs::scoped_counters); PhaseProfile keeps only wall-clock.
 struct StitchMetrics {
   obs::Counter runs = obs::counter("stitch.runs");
+  obs::Counter aborted_faults = obs::counter("atpg.aborted_faults");
   obs::Counter cubes_found = obs::counter("stitch.cubes_found");
   obs::Counter candidates_scored = obs::counter("stitch.candidates_scored");
   obs::Counter aborted = obs::counter("stitch.aborted");
@@ -138,7 +138,7 @@ void StitchEngine::load_scoring_sim(fault::DiffSim& sim, const TestVector& v) {
 
 std::optional<StitchEngine::Candidate> StitchEngine::generate(
     const FaultSets& sets, const FabricState& state, const ShiftPlan& plan,
-    bool first_vector, std::size_t cycle) {
+    bool first_vector) {
   PpiConstraints cons;
   if (!first_vector) cons = constraints_for(state, plan);
   // Unconstrained queries (no pinned cell) prove *combinational* redundancy
@@ -152,19 +152,16 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   if (tried_this_cycle_.empty())
     tried_this_cycle_.assign(faults_->size(), 0);
   ++cycle_stamp_;
-  (void)cycle;
 
   // Shared per-attempt accounting for both scan loops below.
   auto attempt = [&](std::size_t idx) {
     atpg::GenResult res = engine_->generate((*faults_)[idx], &cons);
-    ++podem_calls_;
-    podem_backtracks_ += res.backtracks;
-    sat_calls_ += res.sat_calls;
-    sat_conflicts_ += res.conflicts;
     if (res.status == PodemStatus::Aborted) {
-      ++aborted_;
-      aborted_fault_[idx] = 1;
       stitch_metrics().aborted.inc();
+      if (!aborted_fault_[idx]) {
+        aborted_fault_[idx] = 1;
+        stitch_metrics().aborted_faults.inc();
+      }
     } else if (res.status == PodemStatus::Untestable && !pinned) {
       redundant_[idx] = 1;
     }
@@ -231,7 +228,6 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   }
   const double dt_podem = secs_since(t_podem);
   podem_seconds_ += dt_podem;
-  cubes_found_ += cubes.size();
   {
     const StitchMetrics& m = stitch_metrics();
     m.cubes_found.add(cubes.size());
@@ -357,7 +353,6 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
     if (score[k] > score[best]) best = k;
   const double dt_score = secs_since(t_score);
   scoring_seconds_ += dt_score;
-  candidates_scored_ += cands.size();
   {
     const StitchMetrics& m = stitch_metrics();
     m.candidates_scored.add(cands.size());
@@ -444,8 +439,7 @@ StitchResult StitchEngine::run() {
     // come from this value, even after on_failure() advances the policy.
     const std::size_t s = policy->current();
     const scan::ShiftPlan plan = fabric_.plan_for(s);
-    auto cand = generate(tracker.sets(), tracker.state(), plan, first,
-                         tracker.cycle());
+    auto cand = generate(tracker.sets(), tracker.state(), plan, first);
     if (!cand) {
       if (first) break;  // nothing generable at all — straight to ex phase
       if (policy->on_failure()) continue;
@@ -604,17 +598,6 @@ StitchResult StitchEngine::run() {
   res.profile.classify_seconds = tp.classify_seconds;
   res.profile.advance_seconds = tp.advance_seconds;
   res.profile.terminal_seconds += tp.terminal_seconds;
-  res.profile.faults_classified = tp.faults_classified;
-  res.profile.hidden_advanced = tp.hidden_advanced;
-  res.profile.podem_calls = podem_calls_;
-  res.profile.podem_backtracks = podem_backtracks_;
-  res.profile.cubes_found = cubes_found_;
-  res.profile.candidates_scored = candidates_scored_;
-  res.profile.aborted = aborted_;
-  res.profile.sat_calls = sat_calls_;
-  res.profile.sat_conflicts = sat_conflicts_;
-  for (std::uint8_t a : aborted_fault_)
-    res.profile.aborted_faults += a;
   res.profile.total_seconds = secs_since(t_run);
   {
     const StitchMetrics& m = stitch_metrics();

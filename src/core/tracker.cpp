@@ -23,8 +23,8 @@ double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Registry mirrors of the per-instance TrackerProfile: process-wide totals
-// (exact, thread-count invariant) plus wall-clock timers (reported only).
+// Tracker work counters (exact, thread-count invariant) plus wall-clock
+// timers (reported only); TrackerProfile keeps the per-instance seconds.
 struct TrackerMetrics {
   obs::Counter cycles = obs::counter("tracker.cycles");
   obs::Counter faults_classified = obs::counter("tracker.faults_classified");
@@ -271,7 +271,6 @@ CycleStats StitchTracker::apply(const TestVector& v,
   }
   const double dt1 = secs_since(t1);
   profile_.classify_seconds += dt1;
-  profile_.faults_classified += classify_.size();
   tracker_metrics().classify_seconds.add_seconds(dt1);
   obs::trace_complete("tracker.classify", ts1, dt1);
 
@@ -342,7 +341,6 @@ CycleStats StitchTracker::apply(const TestVector& v,
         sets_.mutable_hidden_state(i) = sf_state_;
       }
     }
-    profile_.hidden_advanced += batch_.size();
     advanced += batch_.size();
   }
   const double dt2 = secs_since(t2);

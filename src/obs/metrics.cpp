@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -42,10 +43,6 @@ void write_double(std::ostream& os, double v) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Pure data operations: available in both normal and VCOMP_OBS=OFF builds.
-// ---------------------------------------------------------------------------
 
 std::string CounterSet::digest() const {
   std::string d;
@@ -133,12 +130,6 @@ void Snapshot::write_json(std::ostream& os, int indent) const {
   if (!first) os << '\n' << in1;
   os << "}\n" << pad << "}";
 }
-
-#ifndef VCOMP_OBS_DISABLED
-
-// ---------------------------------------------------------------------------
-// Live implementation.
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -324,20 +315,6 @@ void ensure_slot(Deque& d, std::uint32_t slot) {
 
 namespace detail {
 
-std::atomic<int> g_metrics_state{0};
-
-bool enabled_slow() {
-  const char* env = std::getenv("VCOMP_OBS");
-  const bool off = env != nullptr &&
-                   (std::string_view(env) == "0" ||
-                    std::string_view(env) == "off" ||
-                    std::string_view(env) == "OFF");
-  int expected = 0;
-  g_metrics_state.compare_exchange_strong(expected, off ? 2 : 1,
-                                          std::memory_order_relaxed);
-  return g_metrics_state.load(std::memory_order_relaxed) == 1;
-}
-
 void counter_add(std::uint32_t slot, std::uint64_t n) {
   ThreadSink& sink = local_sink();
   ensure_slot(sink.counters, slot);
@@ -368,12 +345,6 @@ void timer_add(std::uint32_t slot, double seconds) {
 }
 
 }  // namespace detail
-
-bool metrics_enabled() { return detail::enabled(); }
-
-void set_metrics_enabled(bool on) {
-  detail::g_metrics_state.store(on ? 1 : 2, std::memory_order_relaxed);
-}
 
 Registry::Registry() = default;
 
@@ -545,35 +516,21 @@ void Registry::end_scope(std::uint64_t token) {
   s.scoped_retired.erase(it);
 }
 
-#else  // VCOMP_OBS_DISABLED
-
-// ---------------------------------------------------------------------------
-// Compile-time-disabled build: the registry still exists (so callers link)
-// but hands out inert handles and reports nothing.
-// ---------------------------------------------------------------------------
-
-bool metrics_enabled() { return false; }
-void set_metrics_enabled(bool) {}
-
-Registry::Registry() = default;
-
-Registry& Registry::instance() {
-  static Registry* r = new Registry;
-  return *r;
+CounterSet scoped_counters(const std::function<void()>& body) {
+  Registry& reg = Registry::instance();
+  const std::uint64_t token = util::new_task_token();
+  reg.begin_scope(token);
+  try {
+    const util::ScopedTaskContext scope(
+        util::TaskContext{token, util::task_context().cap});
+    body();
+  } catch (...) {
+    reg.end_scope(token);
+    throw;
+  }
+  CounterSet counters = reg.snapshot_scope(token).counters_only();
+  reg.end_scope(token);
+  return counters;
 }
-
-Counter Registry::counter(std::string_view) { return Counter{}; }
-Gauge Registry::gauge(std::string_view) { return Gauge{}; }
-Histogram Registry::histogram(std::string_view) { return Histogram{}; }
-Timer Registry::timer(std::string_view) { return Timer{}; }
-
-Snapshot Registry::snapshot() const { return Snapshot{}; }
-void Registry::reset() {}
-
-void Registry::begin_scope(std::uint64_t) {}
-Snapshot Registry::snapshot_scope(std::uint64_t) const { return Snapshot{}; }
-void Registry::end_scope(std::uint64_t) {}
-
-#endif  // VCOMP_OBS_DISABLED
 
 }  // namespace vcomp::obs

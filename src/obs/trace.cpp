@@ -12,8 +12,6 @@
 
 namespace vcomp::obs {
 
-#ifndef VCOMP_OBS_DISABLED
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -146,8 +144,7 @@ Span::Span(const char* name, Timer timer, bool has_timer)
       start_us_(-1.0),
       start_ns_(0) {
   const bool want_trace = trace_enabled();
-  const bool want_timer = has_timer_ && metrics_enabled();
-  if (want_trace || want_timer) {
+  if (want_trace || has_timer_) {
     active_ = true;
     start_ns_ = now_ns();
     if (want_trace) start_us_ = now_us();
@@ -166,31 +163,5 @@ double Span::elapsed_seconds() const {
   if (!active_) return 0.0;
   return static_cast<double>(now_ns() - start_ns_) * 1e-9;
 }
-
-#else  // VCOMP_OBS_DISABLED
-
-bool trace_enabled() { return false; }
-void set_trace_enabled(bool) {}
-void clear_trace() {}
-double trace_now_us() { return 0.0; }
-void trace_complete(const char*, double, double) {}
-
-void write_chrome_trace(std::ostream& os) {
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": []}\n";
-}
-
-Span::Span(const char* name, Timer timer, bool has_timer)
-    : name_(name),
-      timer_(timer),
-      has_timer_(has_timer),
-      active_(false),
-      start_us_(-1.0),
-      start_ns_(0) {}
-
-Span::~Span() = default;
-
-double Span::elapsed_seconds() const { return 0.0; }
-
-#endif  // VCOMP_OBS_DISABLED
 
 }  // namespace vcomp::obs

@@ -85,23 +85,11 @@ TEST(GaSchedule, CacheCountsRealEvalsOnly) {
 
 TEST(GaSchedule, ObsCountersMatchResult) {
   const CircuitLab lab("fig1", netgen::example_circuit());
-  const std::uint64_t token = util::new_task_token();
-  obs::Registry::instance().begin_scope(token);
   GaResult r;
-  {
-    const util::ScopedTaskContext scope(util::TaskContext{token, nullptr});
-    r = evolve_schedule(lab, {}, small_ga(7));
-  }
-  const auto counters =
-      obs::Registry::instance().snapshot_scope(token).counters_only();
-  obs::Registry::instance().end_scope(token);
-  std::uint64_t evals = 0, generations = 0;
-  for (const auto& [name, value] : counters.values) {
-    if (name == "ga.evals") evals = value;
-    if (name == "ga.generations") generations = value;
-  }
-  EXPECT_EQ(evals, r.evals);
-  EXPECT_EQ(generations, r.generations);
+  const obs::CounterSet counters = obs::scoped_counters(
+      [&] { r = evolve_schedule(lab, {}, small_ga(7)); });
+  EXPECT_EQ(counters.get("ga.evals"), r.evals);
+  EXPECT_EQ(counters.get("ga.generations"), r.generations);
 }
 
 TEST(GaSchedule, ApplyStampsScheduleAndLabel) {

@@ -17,6 +17,7 @@
 #include "vcomp/core/tracker.hpp"
 #include "vcomp/fault/collapse.hpp"
 #include "vcomp/netgen/netgen.hpp"
+#include "vcomp/obs/metrics.hpp"
 #include "vcomp/report/table.hpp"
 #include "vcomp/scan/scan_chain.hpp"
 #include "vcomp/util/parallel.hpp"
@@ -32,7 +33,7 @@ struct WalkTrace {
   std::vector<std::size_t> catch_cycles;          // caught faults only
   std::vector<std::vector<std::uint8_t>> hidden;  // hidden chains, fault order
   std::vector<std::uint8_t> chain;                // final fault-free chain
-  obs::CounterSet counters;  // work counters only — never wall-clock
+  obs::CounterSet counters;  // the walk's scoped counters — never wall-clock
 };
 
 /// Runs the tracker_test-style random walk at a fixed thread count.  The
@@ -63,11 +64,13 @@ WalkTrace run_walk(const char* name, std::size_t threads,
   };
 
   WalkTrace tr;
-  tr.cycles.push_back(tracker.apply_first(random_vector(L)));
-  for (int c = 0; c < 40; ++c) {
-    const std::size_t s = 1 + rng.below(L);
-    tr.cycles.push_back(tracker.apply_stitched(random_vector(s), s));
-  }
+  tr.counters = obs::scoped_counters([&] {
+    tr.cycles.push_back(tracker.apply_first(random_vector(L)));
+    for (int c = 0; c < 40; ++c) {
+      const std::size_t s = 1 + rng.below(L);
+      tr.cycles.push_back(tracker.apply_stitched(random_vector(s), s));
+    }
+  });
   for (std::size_t i = 0; i < cf.size(); ++i) {
     tr.states.push_back(tracker.sets().state(i));
     if (tracker.sets().state(i) == FaultState::Caught)
@@ -76,7 +79,6 @@ WalkTrace run_walk(const char* name, std::size_t threads,
       tr.hidden.push_back(tracker.sets().hidden_state(i).chain(0).bits());
   }
   tr.chain = tracker.chain().bits();
-  tr.counters = tracker.profile().counters_only();
   return tr;
 }
 
@@ -105,14 +107,16 @@ TEST(TrackerParallel, WalkIsThreadCountInvariant) {
     EXPECT_EQ(serial.hidden, pooled.hidden);
     EXPECT_EQ(serial.chain, pooled.chain);
     // The work counters are part of the determinism contract too: the
-    // classification lists and advance batches must not depend on the
-    // shard layout.  Compared via the counters_only() view so the
-    // wall-clock profile fields can never leak into an assertion.
+    // classification lists, advance batches and every simulator call
+    // (tracker.*, diffsim.*, blocklanesim.*) must not depend on the shard
+    // layout.  The whole scoped set is compared.
     EXPECT_EQ(serial.counters, pooled.counters);
     EXPECT_EQ(serial.counters.digest(), pooled.counters.digest());
     // The walk must exercise all three phases to mean anything.
     EXPECT_GT(serial.counters.get("tracker.faults_classified"), 0u);
     EXPECT_GT(serial.counters.get("tracker.hidden_advanced"), 0u);
+    EXPECT_GT(serial.counters.get("diffsim.simulations"), 0u);
+    EXPECT_GT(serial.counters.get("blocklanesim.evals"), 0u);
   }
 }
 
@@ -120,12 +124,20 @@ TEST(TrackerParallel, EngineCycleStatsAndScheduleThreadCountInvariant) {
   const CircuitLab lab(netgen::profile("s444"));
   StitchOptions opts;  // variable shift, MostFaults
 
+  struct Run {
+    StitchResult result;
+    obs::CounterSet counters;
+  };
   const auto run_at = [&](std::size_t threads) {
     util::ScopedParallelism scoped(threads);
-    return lab.run(opts);
+    Run run;
+    run.counters = obs::scoped_counters([&] { run.result = lab.run(opts); });
+    return run;
   };
-  const StitchResult serial = run_at(1);
-  const StitchResult pooled = run_at(4);
+  const Run serial_run = run_at(1);
+  const Run pooled_run = run_at(4);
+  const StitchResult& serial = serial_run.result;
+  const StitchResult& pooled = pooled_run.result;
 
   EXPECT_EQ(serial.cycles, pooled.cycles);  // full CycleStats sequence
   EXPECT_EQ(serial.schedule.vectors, pooled.schedule.vectors);
@@ -138,9 +150,12 @@ TEST(TrackerParallel, EngineCycleStatsAndScheduleThreadCountInvariant) {
   EXPECT_EQ(serial.memory_ratio, pooled.memory_ratio);
   EXPECT_EQ(serial.uncovered, pooled.uncovered);
   // Profile *timings* differ run to run, but the work counters may not:
-  // compare the counters_only() view, which carries every engine and
-  // tracker work counter and none of the wall-clock fields.
-  EXPECT_EQ(serial.profile.counters_only(), pooled.profile.counters_only());
+  // the run's whole scoped set (podem.*, diffsim.*, blocklanesim.*,
+  // stitch.*, tracker.*) must match, and it must not be vacuous.
+  EXPECT_EQ(serial_run.counters, pooled_run.counters);
+  EXPECT_GT(serial_run.counters.get("podem.calls"), 0u);
+  EXPECT_GT(serial_run.counters.get("diffsim.simulations"), 0u);
+  EXPECT_GT(serial_run.counters.get("tracker.hidden_advanced"), 0u);
 }
 
 // Golden regression: the s444 rows of EXPERIMENTS.md Table 2.  These pin

@@ -1,12 +1,8 @@
 // Unit tests for the vcomp::obs metrics registry and trace spans:
 // counter/gauge/histogram semantics, deterministic cross-thread merges,
 // span nesting, Chrome-trace JSON schema, and registry reset between
-// cases.  Every test starts from a reset registry and an enabled runtime
-// gate, so cases are order-independent within this binary.
-//
-// When the layer is compiled out (-DVCOMP_OBS=OFF) the registry is inert
-// by design; those builds skip the semantic tests and instead assert the
-// disabled-mode guarantees (empty snapshots, zero-cost handles).
+// cases.  Every test starts from a reset registry, so cases are
+// order-independent within this binary.
 
 #include "vcomp/obs/obs.hpp"
 
@@ -22,17 +18,9 @@
 namespace vcomp::obs {
 namespace {
 
-#ifdef VCOMP_OBS_DISABLED
-#define SKIP_WHEN_COMPILED_OUT() \
-  GTEST_SKIP() << "vcomp::obs compiled out (VCOMP_OBS=OFF)"
-#else
-#define SKIP_WHEN_COMPILED_OUT() (void)0
-#endif
-
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    set_metrics_enabled(true);  // override any ambient VCOMP_OBS=0
     Registry::instance().reset();
     set_trace_enabled(false);
     clear_trace();
@@ -46,7 +34,6 @@ std::uint64_t counter_value(const Snapshot& s, const std::string& name) {
 }
 
 TEST_F(ObsTest, CounterSumsAndIgnoresZero) {
-  SKIP_WHEN_COMPILED_OUT();
   const Counter c = counter("test.counter");
   c.inc();
   c.add(41);
@@ -56,7 +43,6 @@ TEST_F(ObsTest, CounterSumsAndIgnoresZero) {
 }
 
 TEST_F(ObsTest, HandlesAreIdempotentByName) {
-  SKIP_WHEN_COMPILED_OUT();
   const Counter a = counter("test.same");
   const Counter b = counter("test.same");
   a.inc();
@@ -69,7 +55,6 @@ TEST_F(ObsTest, HandlesAreIdempotentByName) {
 }
 
 TEST_F(ObsTest, GaugeKeepsHighWaterMark) {
-  SKIP_WHEN_COMPILED_OUT();
   const Gauge g = gauge("test.gauge");
   g.record(5);
   g.record(9);
@@ -81,7 +66,6 @@ TEST_F(ObsTest, GaugeKeepsHighWaterMark) {
 }
 
 TEST_F(ObsTest, HistogramBucketsByBitWidth) {
-  SKIP_WHEN_COMPILED_OUT();
   const Histogram h = histogram("test.hist");
   h.record(0);  // bucket 0
   h.record(1);  // bucket 1
@@ -101,7 +85,6 @@ TEST_F(ObsTest, HistogramBucketsByBitWidth) {
 }
 
 TEST_F(ObsTest, EmptyHistogramNormalizesMinToZero) {
-  SKIP_WHEN_COMPILED_OUT();
   (void)histogram("test.hist_empty");
   const Snapshot s = Registry::instance().snapshot();
   ASSERT_EQ(s.histograms.size(), 1u);
@@ -111,7 +94,6 @@ TEST_F(ObsTest, EmptyHistogramNormalizesMinToZero) {
 }
 
 TEST_F(ObsTest, MergeAcrossThreadsIsDeterministic) {
-  SKIP_WHEN_COMPILED_OUT();
   // The same multiset of updates, spread over different thread counts,
   // must merge to byte-identical CounterSets.  Registration order is
   // deliberately scrambled per thread: merge order is by slot, output
@@ -151,7 +133,6 @@ TEST_F(ObsTest, MergeAcrossThreadsIsDeterministic) {
 }
 
 TEST_F(ObsTest, SnapshotSurvivesThreadExit) {
-  SKIP_WHEN_COMPILED_OUT();
   // Updates from a thread that has already exited must still be counted
   // (its sink retires into the registry, not into the void).
   std::thread([] { counter("test.retired").add(7); }).join();
@@ -160,7 +141,6 @@ TEST_F(ObsTest, SnapshotSurvivesThreadExit) {
 }
 
 TEST_F(ObsTest, ResetZeroesValuesAndKeepsNames) {
-  SKIP_WHEN_COMPILED_OUT();
   counter("test.reset").add(5);
   gauge("test.reset_gauge").record(5);
   histogram("test.reset_hist").record(5);
@@ -176,19 +156,7 @@ TEST_F(ObsTest, ResetZeroesValuesAndKeepsNames) {
   EXPECT_EQ(counter_value(Registry::instance().snapshot(), "test.reset"), 1u);
 }
 
-TEST_F(ObsTest, RuntimeGateDropsUpdates) {
-  SKIP_WHEN_COMPILED_OUT();
-  const Counter c = counter("test.gated");
-  set_metrics_enabled(false);
-  EXPECT_FALSE(metrics_enabled());
-  c.add(100);
-  set_metrics_enabled(true);
-  c.inc();
-  EXPECT_EQ(counter_value(Registry::instance().snapshot(), "test.gated"), 1u);
-}
-
 TEST_F(ObsTest, CountersOnlyExcludesTimingsAndSorts) {
-  SKIP_WHEN_COMPILED_OUT();
   timer("test.z_timer").add_seconds(1.5);
   counter("test.m_counter").inc();
   gauge("test.a_gauge").record(4);
@@ -211,7 +179,6 @@ TEST_F(ObsTest, CountersOnlyExcludesTimingsAndSorts) {
 }
 
 TEST_F(ObsTest, DigestIsStableText) {
-  SKIP_WHEN_COMPILED_OUT();
   CounterSet cs;
   cs.values = {{"a", 1}, {"b", 2}};
   EXPECT_EQ(cs.digest(), "a=1\nb=2\n");
@@ -219,8 +186,17 @@ TEST_F(ObsTest, DigestIsStableText) {
   EXPECT_EQ(cs.get("missing"), 0u);
 }
 
+TEST_F(ObsTest, ScopedCountersSeeOnlyTheirWindow) {
+  const Counter c = counter("test.scoped");
+  c.add(5);  // ambient: outside any window
+  const CounterSet inside = scoped_counters([&] { c.add(3); });
+  EXPECT_EQ(inside.get("test.scoped"), 3u);
+  // end_scope folded the window into the process-wide totals.
+  EXPECT_EQ(counter_value(Registry::instance().snapshot(), "test.scoped"),
+            8u);
+}
+
 TEST_F(ObsTest, SnapshotJsonHasAllSections) {
-  SKIP_WHEN_COMPILED_OUT();
   counter("test.json").add(3);
   timer("test.json_timer").add_seconds(0.25);
   std::ostringstream os;
@@ -232,31 +208,6 @@ TEST_F(ObsTest, SnapshotJsonHasAllSections) {
   EXPECT_NE(j.find("\"timings_seconds\""), std::string::npos);
   EXPECT_NE(j.find("\"test.json\": 3"), std::string::npos);
 }
-
-#ifdef VCOMP_OBS_DISABLED
-TEST_F(ObsTest, DisabledBuildIsInert) {
-  // The compile-time-gated build must accept every call and report
-  // nothing: no metrics, no trace, metrics_enabled() false.
-  counter("off.counter").add(10);
-  gauge("off.gauge").record(10);
-  histogram("off.hist").record(10);
-  timer("off.timer").add_seconds(1.0);
-  EXPECT_FALSE(metrics_enabled());
-  const Snapshot s = Registry::instance().snapshot();
-  EXPECT_TRUE(s.counters.empty());
-  EXPECT_TRUE(s.gauges.empty());
-  EXPECT_TRUE(s.histograms.empty());
-  EXPECT_TRUE(s.timings.empty());
-  EXPECT_TRUE(s.counters_only().values.empty());
-
-  set_trace_enabled(true);
-  { const Span sp("off.span"); }
-  std::ostringstream os;
-  write_chrome_trace(os);
-  EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
-  EXPECT_EQ(os.str().find("off.span"), std::string::npos);
-}
-#endif
 
 // ---------------------------------------------------------------------------
 // Trace spans and Chrome-trace JSON schema.
@@ -298,7 +249,6 @@ std::string field(const std::string& obj, const std::string& key) {
 }
 
 TEST_F(ObsTest, TraceDisabledByDefault) {
-  SKIP_WHEN_COMPILED_OUT();
   EXPECT_FALSE(trace_enabled());
   EXPECT_EQ(trace_now_us(), 0.0);
   { const Span s("untraced"); }
@@ -308,7 +258,6 @@ TEST_F(ObsTest, TraceDisabledByDefault) {
 }
 
 TEST_F(ObsTest, ChromeTraceSchemaAndSpanNesting) {
-  SKIP_WHEN_COMPILED_OUT();
   set_trace_enabled(true);
   clear_trace();
   {
@@ -361,7 +310,6 @@ TEST_F(ObsTest, ChromeTraceSchemaAndSpanNesting) {
 }
 
 TEST_F(ObsTest, ClearTraceDropsBufferedEvents) {
-  SKIP_WHEN_COMPILED_OUT();
   set_trace_enabled(true);
   { const Span s("doomed"); }
   clear_trace();
@@ -374,7 +322,6 @@ TEST_F(ObsTest, ClearTraceDropsBufferedEvents) {
 }
 
 TEST_F(ObsTest, SpanFeedsTimerFromOneClockRead) {
-  SKIP_WHEN_COMPILED_OUT();
   const Timer t = timer("test.span_timer");
   { const Span s("timed", t); }
   const Snapshot s = Registry::instance().snapshot();

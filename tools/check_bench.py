@@ -10,9 +10,9 @@ field differs from the baseline (a different workload) are skipped
 outright.
 
 Per-row "counters" objects (the obs work counters embedded by the bench
-binaries) are exempt from the tolerance: they are deterministic by
-contract, so any mismatch at all is flagged.  Timings and rates keep the
-±tolerance treatment.
+binaries) and the paper's headline fields (m, t, tv, ex) are exempt from
+the tolerance: they are deterministic by contract, so any mismatch at all
+is flagged.  Timings and rates keep the ±tolerance treatment.
 
 Intended as a *soft* gate: CI shared runners are noisy, so regressions are
 emitted as GitHub warning annotations and the exit code stays 0 unless
@@ -31,6 +31,9 @@ import sys
 # Per-row fields judged with the tolerance; direction says which way is bad.
 TIME_FIELDS = ("seconds", "shift_seconds", "total_seconds")
 RATE_SUFFIX = "_per_sec"
+# Exact per-row fields: the memory and test-time ratios and the vector
+# counts behind them are outputs of the flow, not measurements.
+EXACT_FIELDS = ("m", "t", "tv", "ex")
 # Timings below this are scheduler-noise-dominated; never gate them.
 MIN_GATED_SECONDS = 1e-3
 
@@ -103,6 +106,11 @@ def main():
                   f"baseline {brow.get('cycles')}; row skipped "
                   f"(workload mismatch)")
             continue
+        for field in EXACT_FIELDS:
+            if field in brow and frow.get(field) != brow[field]:
+                regressions.append(
+                    f"{label} {field}: {frow.get(field)} vs baseline "
+                    f"{brow[field]} (exact match required)")
         for field, bval in brow.items():
             if not isinstance(bval, (int, float)) or isinstance(bval, bool):
                 continue

@@ -37,7 +37,9 @@
 //                         thread count)
 //     --profile           print the per-phase wall-clock breakdown of the
 //                         stitched run (PODEM, scoring, shift, classify,
-//                         hidden advance, terminal) with throughput
+//                         hidden advance, terminal) with throughput, next
+//                         to the ATPG and tracker work counters of the
+//                         same scoped window that --row reports
 //     --row <file>        write the canonical single-line result row ("-"
 //                         for stdout): Table-2 quantities plus the run's
 //                         scoped obs counters, byte-identical to the row
@@ -108,27 +110,31 @@ serve::Json flag_value(const char* v) {
   return j && j->is_number() ? *j : serve::Json::string(v);
 }
 
-void print_profile(const core::PhaseProfile& p) {
+/// Phase seconds plus the run window's work counters (the same scoped
+/// counters --row reports).
+void print_profile(const core::PhaseProfile& p, const obs::CounterSet& c) {
+  const auto per_s = [](std::uint64_t n, double s) {
+    return s > 0 ? double(n) / s : 0.0;
+  };
+  const std::uint64_t classified = c.get("tracker.faults_classified");
+  const std::uint64_t advanced = c.get("tracker.hidden_advanced");
   std::printf("phase profile (wall seconds):\n");
   std::printf("  podem     %9.3f\n", p.podem_seconds);
   std::printf("  scoring   %9.3f\n", p.scoring_seconds);
   std::printf("  shift     %9.3f\n", p.shift_seconds);
-  if (p.classify_seconds > 0)
-    std::printf("  classify  %9.3f  (%zu faults, %.0f/s)\n",
-                p.classify_seconds, p.faults_classified,
-                double(p.faults_classified) / p.classify_seconds);
-  else
-    std::printf("  classify  %9.3f  (%zu faults)\n", p.classify_seconds,
-                p.faults_classified);
-  if (p.advance_seconds > 0)
-    std::printf("  advance   %9.3f  (%zu lanes, %.0f/s)\n", p.advance_seconds,
-                p.hidden_advanced,
-                double(p.hidden_advanced) / p.advance_seconds);
-  else
-    std::printf("  advance   %9.3f  (%zu lanes)\n", p.advance_seconds,
-                p.hidden_advanced);
+  std::printf("  classify  %9.3f  (%llu faults, %.0f/s)\n", p.classify_seconds,
+              (unsigned long long)classified,
+              per_s(classified, p.classify_seconds));
+  std::printf("  advance   %9.3f  (%llu lanes, %.0f/s)\n", p.advance_seconds,
+              (unsigned long long)advanced, per_s(advanced, p.advance_seconds));
   std::printf("  terminal  %9.3f\n", p.terminal_seconds);
   std::printf("  total     %9.3f\n", p.total_seconds);
+  std::printf("work counters:\n");
+  for (const char* name :
+       {"podem.calls", "podem.success", "podem.constrained_untestable",
+        "podem.aborted", "atpg.sat_calls", "tracker.faults_classified",
+        "tracker.hidden_advanced"})
+    std::printf("  %-28s %llu\n", name, (unsigned long long)c.get(name));
 }
 
 }  // namespace
@@ -262,27 +268,21 @@ int main(int argc, char** argv) {
       opts = core::apply_ga_schedule(opts, gr);
     }
 
-    // Run under a scoped obs window exactly like a serve job: --row
-    // counters come from the window, so the row is byte-identical to the
-    // daemon's for the same job.  Lab construction above stays in the
-    // ambient scope, mirroring the daemon's artifact registry.
-    const bool want_row = !row_path.empty();
-    const std::uint64_t token = want_row ? util::new_task_token() : 0;
-    if (want_row) obs::Registry::instance().begin_scope(token);
+    // Run under a scoped obs window exactly like a serve job: --row and
+    // --profile counters come from the window, so the row is byte-identical
+    // to the daemon's for the same job.  Lab construction above stays in
+    // the ambient scope, mirroring the daemon's artifact registry; the
+    // window folds into the process-wide totals before --metrics reads
+    // them.
     core::StitchResult r;
-    {
-      const util::ScopedTaskContext scope(util::TaskContext{token, nullptr});
-      r = lab.run(opts);
-    }
+    const obs::CounterSet counters =
+        obs::scoped_counters([&] { r = lab.run(opts); });
     std::printf("stitched: TV=%zu ex=%zu  t=%.3f m=%.3f  coverage %s\n",
                 r.vectors_applied, r.extra_full_vectors, r.time_ratio,
                 r.memory_ratio, r.uncovered == 0 ? "preserved" : "LOST");
-    if (profile) print_profile(r.profile);
+    if (profile) print_profile(r.profile, counters);
 
-    if (want_row) {
-      const obs::CounterSet counters =
-          obs::Registry::instance().snapshot_scope(token).counters_only();
-      obs::Registry::instance().end_scope(token);
+    if (!row_path.empty()) {
       const std::string row = serve::result_row(
           serve::circuit_label(path, full_scale), r, counters);
       if (row_path == "-") {
