@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,6 +89,20 @@ inline std::vector<std::size_t> chain_counts() {
   return out;
 }
 
+/// VCOMP_ATPG=podem|sat|race picks the constrained-ATPG engine of every
+/// run_timed() configuration (unset = podem, so the committed rows are the
+/// PODEM rows): the engine comparison re-runs a table bench with only this
+/// variable changed.
+inline atpg::EngineKind atpg_engine() {
+  const char* env = std::getenv("VCOMP_ATPG");
+  if (env == nullptr || env[0] == '\0') return atpg::EngineKind::Podem;
+  atpg::EngineKind kind;
+  if (!atpg::engine_kind_from_string(env, kind))
+    throw std::runtime_error("VCOMP_ATPG must be podem, sat or race (got \"" +
+                             std::string(env) + "\")");
+  return kind;
+}
+
 /// One paper reference pair (m, t); negative = not reported.
 struct PaperRef {
   double m = -1;
@@ -150,13 +165,17 @@ TimedResult timed(Body&& body) {
   return tr;
 }
 
-/// Runs every configuration of a sweep concurrently, timing each one.
-/// Results are positionally identical to serial lab.run() calls.
+/// Runs every configuration of a sweep concurrently, timing each one, on
+/// the VCOMP_ATPG engine.  Results are positionally identical to serial
+/// lab.run() calls.
 inline std::vector<TimedResult> run_timed(
     const core::CircuitLab& lab,
     const std::vector<core::StitchOptions>& options) {
+  const atpg::EngineKind engine = atpg_engine();
   return util::parallel_map(options.size(), [&](std::size_t i) {
-    return timed([&](core::StitchResult& r) { r = lab.run(options[i]); });
+    core::StitchOptions o = options[i];
+    o.atpg_engine = engine;
+    return timed([&](core::StitchResult& r) { r = lab.run(o); });
   });
 }
 

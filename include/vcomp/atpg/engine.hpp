@@ -30,9 +30,9 @@
 ///            contract holds: the same fault under the same constraints
 ///            always takes the same route.
 ///
-/// EngineKind::Auto resolves through the VCOMP_ATPG environment variable
-/// (podem | sat | race; unset = podem), which is how the CLI and the bench
-/// drivers pick an engine without plumbing a flag through every layer.
+/// Callers pick the engine explicitly (StitchOptions::atpg_engine, set by
+/// `--atpg` or the daemon's "atpg" key); the library reads no environment
+/// variable for it.
 
 #include <cstdint>
 #include <memory>
@@ -44,23 +44,13 @@ namespace vcomp::atpg {
 
 /// Which generator answers constrained-cube queries.
 enum class EngineKind : std::uint8_t {
-  Auto,   ///< resolve via VCOMP_ATPG (unset = Podem)
   Podem,  ///< classical PODEM
   Sat,    ///< CNF cone encoding + built-in CDCL solver
   Race,   ///< PODEM first, SAT on Aborted (status-routed, deterministic)
 };
 
-/// Parses "podem" / "sat" / "race" (also "auto"); false on anything else.
+/// Parses "podem" / "sat" / "race"; false on anything else.
 bool engine_kind_from_string(std::string_view s, EngineKind& out);
-
-/// Parses a VCOMP_ATPG value; null or empty yields Podem.  Throws
-/// std::runtime_error on an unrecognized value (fail loudly, not quietly
-/// with the wrong engine).
-EngineKind engine_kind_from_env(const char* value);
-
-/// Resolves Auto through the VCOMP_ATPG environment variable; other kinds
-/// pass through.
-EngineKind resolve_engine_kind(EngineKind kind);
 
 const char* to_string(EngineKind kind);
 
@@ -103,8 +93,7 @@ class Engine {
 };
 
 /// Builds an engine over a shared evaluation graph.  \p scoap must outlive
-/// the engine (PODEM's backtrace reads it); \p kind must not be Auto —
-/// resolve first.
+/// the engine (PODEM's backtrace reads it).
 std::unique_ptr<Engine> make_engine(EngineKind kind, sim::EvalGraph::Ref graph,
                                     const tmeas::Scoap& scoap,
                                     const EngineOptions& options = {});

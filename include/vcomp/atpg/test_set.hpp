@@ -16,6 +16,10 @@
 #include "vcomp/atpg/podem.hpp"
 #include "vcomp/fault/collapse.hpp"
 
+namespace vcomp::fault {
+class DiffSim;
+}
+
 namespace vcomp::atpg {
 
 enum class FaultClass : std::uint8_t { Detected, Redundant, Aborted };
@@ -25,7 +29,6 @@ struct TestSetOptions {
   /// Random phase stops after this many consecutive useless 64-pattern
   /// blocks (0 disables the random phase).
   std::size_t random_idle_blocks = 2;
-  std::size_t max_random_blocks = 64;
   PodemOptions podem;
   bool reverse_compaction = true;
 };
@@ -48,5 +51,9 @@ struct TestSetResult {
 TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
                                        const std::vector<fault::Fault>& faults,
                                        const TestSetOptions& options = {});
+
+/// Broadcasts \p v into all 64 lanes of \p sim's good machine (inputs and
+/// scan cells); the caller commits with DiffSim::commit_good().
+void load_vector(fault::DiffSim& sim, const TestVector& v);
 
 }  // namespace vcomp::atpg

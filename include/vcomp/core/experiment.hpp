@@ -59,6 +59,13 @@ class CircuitLab {
   atpg::TestSetResult baseline_;
 };
 
+/// Loads the circuit a job names: `gen:<profile>` synthesizes that netgen
+/// profile (at its original gate count when \p full_scale is set), a
+/// `.v` / `.sv` path reads structural Verilog, any other path an ISCAS89
+/// `.bench` file.  Throws std::invalid_argument when \p full_scale is set
+/// for a file path.
+netlist::Netlist load_circuit(const std::string& spec, bool full_scale);
+
 /// Builds one CircuitLab per profile, concurrently (the baseline ATPG and
 /// fault simulation dominate construction).  Order matches \p profiles.
 std::vector<std::unique_ptr<CircuitLab>> make_labs(

@@ -11,7 +11,11 @@
 /// playback policy), fitness is the memory ratio `m` (ties broken by the
 /// time ratio `t`, then lexicographically by genes) of a quick-mode
 /// StitchEngine run, and each generation's population is evaluated
-/// concurrently on the process thread pool.
+/// concurrently on the process thread pool.  Genes are master shift sizes
+/// in [1, L] (L = the fabric's total cell count), drawn log-uniformly so
+/// small shifts (the profitable region) are as likely as large ones;
+/// children take a single-point crossover with probability 0.9 and
+/// resample each gene with probability 0.15.
 ///
 /// Determinism contract: every random draw (initial population, tournament
 /// picks, crossover cuts, mutations) comes from one util::Rng consumed
@@ -35,14 +39,6 @@ struct GaOptions {
   std::size_t genes = 10;         ///< chromosome length (cyclic schedule)
   std::size_t elite = 2;          ///< best chromosomes copied unchanged
   std::size_t tournament = 3;     ///< tournament size for parent selection
-  std::uint32_t crossover_milli = 900;  ///< single-point crossover P (/1000)
-  std::uint32_t mutation_milli = 150;   ///< per-gene resample P (/1000)
-  /// Gene range [min_shift, max_shift] as master shift sizes; 0 defaults to
-  /// [1, L] where L is the fabric's total cell count.  Initial genes are
-  /// drawn log-uniformly so small shifts (the profitable region) are as
-  /// likely as large ones.
-  std::size_t min_shift = 0;
-  std::size_t max_shift = 0;
   std::uint64_t seed = 1;
   /// Evaluate fitness with reduced ATPG budgets (fewer cubes, fills and
   /// backtracks).  The search ranking is a heuristic either way; callers

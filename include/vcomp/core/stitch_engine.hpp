@@ -39,10 +39,9 @@
 namespace vcomp::core {
 
 struct StitchOptions {
-  /// Shift size: >0 fixes it; 0 selects the variable policy.
+  /// Shift size: >0 fixes it; 0 selects the variable policy (which starts
+  /// at chain length / 8).
   std::size_t fixed_shift = 0;
-  /// Variable policy start size (0 = chain length / 8).
-  std::size_t variable_start = 0;
   /// Variable policy: success streak that halves the size back toward the
   /// start (0 disables decay — escalation becomes monotonic).
   std::size_t variable_decay_after = 4;
@@ -86,12 +85,10 @@ struct StitchOptions {
   atpg::PodemOptions podem{.max_backtracks = 128};
   /// SAT backend conflict budget (Sat and Race engines).
   atpg::SatOptions sat{};
-  /// Constrained-ATPG engine answering per-cycle cube queries.  Auto
-  /// resolves through VCOMP_ATPG (unset = podem).  Race runs PODEM under
-  /// its backtrack budget and falls through to SAT on Aborted — routing by
-  /// status, never wall-clock, so determinism is preserved.
-  atpg::EngineKind atpg_engine = atpg::EngineKind::Auto;
-  tmeas::HardnessOptions hardness{};
+  /// Constrained-ATPG engine answering per-cycle cube queries.  Race runs
+  /// PODEM under its backtrack budget and falls through to SAT on Aborted
+  /// — routing by status, never wall-clock, so determinism is preserved.
+  atpg::EngineKind atpg_engine = atpg::EngineKind::Podem;
   /// Hard cap on stitched cycles (0 = 6·aTV + 64).
   std::size_t max_cycles = 0;
   /// When the shift policy is out of escalations, up to this many
@@ -221,7 +218,6 @@ class StitchEngine {
                                     const scan::FabricState& state,
                                     const scan::ShiftPlan& plan,
                                     bool first_vector);
-  void load_scoring_sim(fault::DiffSim& sim, const atpg::TestVector& v);
 
   const netlist::Netlist* nl_;
   const fault::CollapsedFaults* faults_;

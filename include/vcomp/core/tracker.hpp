@@ -156,7 +156,6 @@ class StitchTracker {
  private:
   CycleStats apply(const atpg::TestVector& v, const scan::ShiftPlan& plan,
                    bool first);
-  void load_stimulus(fault::DiffSim& sim, const atpg::TestVector& v) const;
   void read_po_bits();       // fills po_ff_
   void read_capture_bits();  // fills ppo_ff_ (by flat chain position)
 

@@ -58,10 +58,9 @@ class CompactModel {
   /// Builds the compacted graph for \p original's netlist, protecting and
   /// remapping the tracked \p faults.  With \p enable false the model is
   /// the identity: graph() is \p original itself (shared, no recompile)
-  /// and every fault maps to its own single site.  \p base carries the
-  /// pass toggles; its protect vector is overwritten from \p faults.
+  /// and every fault maps to its own single site.
   CompactModel(sim::EvalGraph::Ref original, std::span<const Fault> faults,
-               bool enable, sim::CompactOptions base = {});
+               bool enable);
 
   bool enabled() const { return compaction_ != nullptr; }
 

@@ -1,8 +1,8 @@
 #pragma once
 // vcomp::obs -- process-wide metrics registry.
 //
-// The registry hands out small value-type handles (Counter, Gauge,
-// Histogram, Timer) identified by a stable slot index.  Updates go to a
+// The registry hands out small value-type handles (Counter, Histogram,
+// Timer) identified by a stable slot index.  Updates go to a
 // per-thread sink (a deque of atomics, so slot addresses never move while
 // the owning thread appends), which keeps the hot path to one relaxed
 // atomic add with zero contention.  Snapshots merge the per-thread sinks
@@ -11,7 +11,6 @@
 // interleaving for every kind whose merge is commutative+associative:
 //
 //   counter    sum
-//   gauge      max (high-water mark)
 //   histogram  per-bucket sum + count/sum/min/max
 //   timer      sum of double seconds -- NOT deterministic, and therefore
 //              excluded from Snapshot::counters_only() and every digest.
@@ -36,7 +35,6 @@ namespace vcomp::obs {
 
 namespace detail {
 void counter_add(std::uint32_t slot, std::uint64_t n);
-void gauge_max(std::uint32_t slot, std::uint64_t v);
 void histogram_record(std::uint32_t slot, std::uint64_t v);
 void timer_add(std::uint32_t slot, double seconds);
 }  // namespace detail
@@ -53,19 +51,6 @@ class Counter {
  private:
   friend class Registry;
   explicit Counter(std::uint32_t slot) : slot_(slot) {}
-  std::uint32_t slot_ = 0;
-};
-
-/// High-water mark.  Merge across threads: max, which (unlike last-write)
-/// is order-independent and therefore deterministic.
-class Gauge {
- public:
-  Gauge() = default;
-  void record(std::uint64_t v) const { detail::gauge_max(slot_, v); }
-
- private:
-  friend class Registry;
-  explicit Gauge(std::uint32_t slot) : slot_(slot) {}
   std::uint32_t slot_ = 0;
 };
 
@@ -96,7 +81,7 @@ class Timer {
 };
 
 /// Deterministic slice of a snapshot: name-sorted integer metrics only
-/// (counters, gauges, and histogram summaries; no wall-clock values).
+/// (counters and histogram summaries; no wall-clock values).
 /// This is the type tests compare and digests hash.
 class CounterSet {
  public:
@@ -122,15 +107,14 @@ struct HistogramSnapshot {
 /// Point-in-time merged view of every registered metric, sorted by name.
 struct Snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::uint64_t>> gauges;
   std::vector<HistogramSnapshot> histograms;
   std::vector<std::pair<std::string, double>> timings;  // seconds
 
-  /// Deterministic view: counters + gauges + histogram summaries
+  /// Deterministic view: counters + histogram summaries
   /// (name.count/.sum/.min/.max), timings excluded.
   CounterSet counters_only() const;
-  /// Pretty JSON object {"counters":{...},"gauges":{...},
-  /// "histograms":{...},"timings_seconds":{...}}.
+  /// Pretty JSON object {"counters":{...},"histograms":{...},
+  /// "timings_seconds":{...}}.
   void write_json(std::ostream& os, int indent = 0) const;
 };
 
@@ -142,7 +126,6 @@ class Registry {
 
   /// Idempotent by name: the same name always yields the same slot.
   Counter counter(std::string_view name);
-  Gauge gauge(std::string_view name);
   Histogram histogram(std::string_view name);
   Timer timer(std::string_view name);
 
@@ -152,28 +135,6 @@ class Registry {
   /// concurrent updates are in flight (quiescent point between runs).
   void reset();
 
-  /// \name Scoped snapshots
-  /// Metric updates are attributed to the calling thread's task token
-  /// (util::task_token(), propagated to pool workers), so a logical task
-  /// tree — e.g. one serve job — can be snapshotted in isolation while the
-  /// plain snapshot() keeps reporting process-wide totals.
-  ///
-  /// Lifecycle: begin_scope(t) activates retention for token t BEFORE any
-  /// update runs under it; snapshot_scope(t) may be taken once the scope's
-  /// work has quiesced; end_scope(t) folds the scope's totals into the
-  /// process-wide ones and frees its retention state.  Tokens must not be
-  /// reused after end_scope (use monotonically increasing ids).
-  ///
-  /// Determinism: a scope's snapshot merges the same multiset of updates
-  /// regardless of which threads carried them, so — by the engine's
-  /// thread-invariance contract — a job's counter snapshot is
-  /// byte-identical to the same run executed alone in a fresh process.
-  /// @{
-  void begin_scope(std::uint64_t token);
-  Snapshot snapshot_scope(std::uint64_t token) const;
-  void end_scope(std::uint64_t token);
-  /// @}
-
  private:
   Registry();
   ~Registry() = delete;  // leaked singleton: outlives thread-exit hooks
@@ -182,9 +143,6 @@ class Registry {
 /// Shorthands for function-local static handles at instrumentation sites.
 inline Counter counter(std::string_view name) {
   return Registry::instance().counter(name);
-}
-inline Gauge gauge(std::string_view name) {
-  return Registry::instance().gauge(name);
 }
 inline Histogram histogram(std::string_view name) {
   return Registry::instance().histogram(name);
@@ -196,11 +154,19 @@ inline Timer timer(std::string_view name) {
 /// Runs \p body under a fresh scope token (util::new_task_token(), keeping
 /// the caller's parallelism cap) and returns the counters that scope
 /// collected: the per-run counts of work whose callers share one process
-/// (concurrent bench configs, CLI runs, oracle replays).  The serve daemon
-/// opens the same kind of window by hand around each job.
+/// (serve jobs, concurrent bench configs, CLI runs, oracle replays).
 ///
-/// Scopes do not nest: end_scope folds a scope into the process-wide
-/// totals, not into an enclosing scope, so counts taken inside a nested
+/// Metric updates are attributed to the calling thread's task token
+/// (util::task_token(), propagated to pool workers), so the window sees
+/// exactly the updates made under it while Registry::snapshot() keeps
+/// reporting process-wide totals.  The window merges the same multiset of
+/// updates regardless of which threads carried them, so — by the engine's
+/// thread-invariance contract — its counters are byte-identical to the
+/// same run executed alone in a fresh process.  On return (or throw) the
+/// window's totals fold into the process-wide ones.
+///
+/// Scopes do not nest: a window folds into the process-wide totals, not
+/// into an enclosing window, so counts taken inside a nested
 /// scoped_counters() call are missing from the outer window.
 CounterSet scoped_counters(const std::function<void()>& body);
 

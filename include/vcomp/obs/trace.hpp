@@ -24,35 +24,33 @@ bool trace_enabled();
 void set_trace_enabled(bool on);
 /// Drop all buffered events (epoch is kept).
 void clear_trace();
-/// Microseconds since the trace epoch; 0 when tracing is disabled.
-/// Pair with trace_complete() for code that already does its own timing.
-double trace_now_us();
-/// Record a complete event: started at start_us (from trace_now_us()),
-/// lasted dur_seconds.  No-op when tracing is disabled.
-void trace_complete(const char* name, double start_us, double dur_seconds);
 /// Emit the buffered events as Chrome-trace JSON ({"traceEvents":[...]}).
 void write_chrome_trace(std::ostream& os);
 
-/// RAII span: records a complete trace event for its lifetime and, when
-/// constructed with a Timer, also adds the elapsed seconds to it (so one
-/// clock read feeds both the trace and the metrics registry).
+/// RAII span: records a complete trace event for its lifetime and adds
+/// the elapsed seconds to \p timer and to \p seconds (a per-run profile
+/// field) when given — one clock read feeds the trace, the metrics
+/// registry and the caller's profile.
 class Span {
  public:
-  explicit Span(const char* name) : Span(name, Timer{}, /*has_timer=*/false) {}
-  Span(const char* name, Timer timer) : Span(name, timer, true) {}
+  explicit Span(const char* name, double* seconds = nullptr)
+      : Span(name, Timer{}, false, seconds) {}
+  Span(const char* name, Timer timer, double* seconds = nullptr)
+      : Span(name, timer, true, seconds) {}
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Elapsed seconds so far (0 when neither tracing nor a Timer wants it).
+  /// Elapsed seconds so far (0 when no trace, Timer or profile wants it).
   double elapsed_seconds() const;
 
  private:
-  Span(const char* name, Timer timer, bool has_timer);
+  Span(const char* name, Timer timer, bool has_timer, double* seconds);
   const char* name_;
   Timer timer_;
   bool has_timer_;
-  bool active_;       // tracing or the Timer wanted a clock read
+  double* seconds_;   // profile field to add into (may be null)
+  bool active_;       // tracing, the Timer or the profile wanted a clock
   double start_us_;   // trace-epoch microseconds (valid when tracing)
   long long start_ns_;  // steady_clock ns (valid when active_)
 };

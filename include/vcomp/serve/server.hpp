@@ -10,22 +10,22 @@
 ///  * its own runner thread (jobs never run on the process thread pool —
 ///    the parallel primitives run inline on pool workers, which would
 ///    serialize jobs against each other and deadlock the malleable caps);
-///  * a fresh scope token and a private parallelism cap: the runner
-///    executes `lab->run()` under a util::TaskContext{token, &cap}, and
-///    the server retunes every running job's cap to the fair share
-///    pool_parallelism / running_jobs whenever a job starts or finishes.
+///  * a private parallelism cap: the runner executes `lab->run()` under
+///    a util::TaskContext carrying &cap, and the server retunes every
+///    running job's cap to the fair share pool_parallelism / running_jobs
+///    whenever a job starts or finishes.
 ///    Caps only change how many pool workers a loop recruits; the standing
 ///    determinism contract makes reallocation points unobservable in any
 ///    computed value;
-///  * a scoped obs metrics window (Registry::begin_scope / snapshot_scope /
-///    end_scope) opened around exactly the `run()` call, so the job's
+///  * a scoped obs metrics window (obs::scoped_counters, under a fresh
+///    scope token) opened around exactly the `run()` call, so the job's
 ///    counter row matches its standalone `vcomp_stitch --row` invocation
 ///    byte for byte, cache hit or miss.
 ///
-/// Concurrency is bounded by ServeOptions::max_active_jobs (the
-/// VCOMP_SERVE_THREADS knob): excess submissions queue inside their runner
-/// threads.  Event emission is serialized by one mutex, so concurrent
-/// jobs interleave *lines*, never bytes.
+/// Concurrency is bounded by ServeOptions::max_active_jobs (`vcomp_serve
+/// --max-jobs`): excess submissions queue inside their runner threads.
+/// Event emission is serialized by one mutex, so concurrent jobs
+/// interleave *lines*, never bytes.
 
 #include <atomic>
 #include <condition_variable>
@@ -43,18 +43,14 @@
 namespace vcomp::serve {
 
 struct ServeOptions {
-  /// Max jobs running concurrently; 0 resolves VCOMP_SERVE_THREADS
-  /// (unset or 0 → 2).
-  std::size_t max_active_jobs = 0;
+  /// Max jobs running concurrently (>= 1).
+  std::size_t max_active_jobs = 2;
   /// Artifact registry budget (cached circuits; 0 = unlimited).
   std::size_t registry_budget = 0;
   /// Default progress cadence for jobs that do not set progress_every
   /// themselves (0 = no progress events unless the job asks).
   std::size_t progress_every = 0;
 };
-
-/// Resolves the effective max_active_jobs (see ServeOptions).
-std::size_t resolve_max_active_jobs(std::size_t requested);
 
 class Server {
  public:
@@ -83,7 +79,6 @@ class Server {
   struct Job {
     JobSpec spec;
     Sink sink;
-    std::uint64_t token = 0;
     std::atomic<std::size_t> cap{1};
     std::thread runner;
   };

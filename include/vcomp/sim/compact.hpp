@@ -64,9 +64,6 @@ enum ProtectFlag : std::uint8_t {
 };
 
 struct CompactOptions {
-  bool fold_buffers = true;  ///< Buf(x)->x, Not(Not(x))->x
-  bool fold_consts = true;   ///< tied / complement / constant propagation
-  bool dedupe = true;        ///< structural hashing over resolved pins
   /// Empty (nothing protected) or one flag byte per original gate.
   std::vector<std::uint8_t> protect;
 };

@@ -5,10 +5,10 @@
 ///
 /// The pool is a process-wide singleton started on first use, sized by the
 /// `VCOMP_THREADS` environment variable (unset or 0 means
-/// `hardware_concurrency`).  The calling thread always participates in
-/// parallel loops, so a parallelism of N spawns N-1 workers; with
-/// `VCOMP_THREADS=1` no worker thread is ever created and every primitive
-/// degenerates to the plain serial loop.
+/// `hardware_concurrency`; values above kMaxParallelism are capped).  The
+/// calling thread always participates in parallel loops, so a parallelism
+/// of N spawns N-1 workers; with `VCOMP_THREADS=1` no worker thread is
+/// ever created and every primitive degenerates to the plain serial loop.
 ///
 /// Determinism contract: `parallel_map` and `parallel_reduce` deliver
 /// results in index order, and shard boundaries are observable only through
@@ -50,9 +50,8 @@ std::uint64_t splitmix64(std::uint64_t x);
 ///
 /// The token lets cross-cutting layers attribute work to a logical task
 /// tree: the obs metrics registry keys per-scope counter sinks by it (see
-/// obs::Registry::snapshot_scope), and the serve job daemon assigns one
-/// token per job so concurrent jobs keep separable, deterministic counter
-/// snapshots.
+/// obs::scoped_counters, which the serve job daemon opens around each job
+/// so concurrent jobs keep separable, deterministic counter snapshots).
 ///
 /// The cap is the *malleable* part: it points at an atomic owned by a
 /// scheduler, and every parallel primitive reads it at loop entry, so the
@@ -100,6 +99,10 @@ class ScopedTaskContext {
 
 /// @}
 
+/// Upper bound on the pool's total parallelism, on every route that sizes
+/// it: `VCOMP_THREADS` is capped to it, ThreadPool::configure rejects more.
+inline constexpr std::size_t kMaxParallelism = 1024;
+
 class ThreadPool {
  public:
   /// The process-wide pool; first call resolves `VCOMP_THREADS` and spawns
@@ -110,8 +113,10 @@ class ThreadPool {
   std::size_t parallelism() const;
 
   /// Joins all workers and respawns the pool at \p threads total
-  /// parallelism (>= 1).  Must not race with running parallel loops; meant
-  /// for tests and `main()`-level overrides (see ScopedParallelism).
+  /// parallelism (0 reads as 1).  Throws ContractError, leaving the pool
+  /// untouched, when \p threads exceeds kMaxParallelism.  Must not race
+  /// with running parallel loops; meant for tests and `main()`-level
+  /// overrides (see ScopedParallelism).
   void configure(std::size_t threads);
 
   /// True iff the calling thread is one of this process's pool workers.

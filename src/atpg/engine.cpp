@@ -1,9 +1,5 @@
 #include "vcomp/atpg/engine.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
-
 #include "vcomp/atpg/sat_engine.hpp"
 #include "vcomp/util/assert.hpp"
 
@@ -16,34 +12,14 @@ bool engine_kind_from_string(std::string_view s, EngineKind& out) {
     out = EngineKind::Sat;
   } else if (s == "race") {
     out = EngineKind::Race;
-  } else if (s == "auto") {
-    out = EngineKind::Auto;
   } else {
     return false;
   }
   return true;
 }
 
-EngineKind engine_kind_from_env(const char* value) {
-  if (value == nullptr || *value == '\0') return EngineKind::Podem;
-  EngineKind kind;
-  if (!engine_kind_from_string(value, kind) || kind == EngineKind::Auto)
-    throw std::runtime_error(
-        "VCOMP_ATPG must be podem, sat or race (got \"" +
-        std::string(value) + "\")");
-  return kind;
-}
-
-EngineKind resolve_engine_kind(EngineKind kind) {
-  return kind == EngineKind::Auto
-             ? engine_kind_from_env(std::getenv("VCOMP_ATPG"))
-             : kind;
-}
-
 const char* to_string(EngineKind kind) {
   switch (kind) {
-    case EngineKind::Auto:
-      return "auto";
     case EngineKind::Podem:
       return "podem";
     case EngineKind::Sat:
@@ -123,10 +99,8 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, sim::EvalGraph::Ref graph,
       return std::make_unique<SatEngine>(std::move(graph), options.sat);
     case EngineKind::Race:
       return std::make_unique<RaceEngine>(std::move(graph), scoap, options);
-    case EngineKind::Auto:
-      break;
   }
-  VCOMP_REQUIRE(false, "make_engine: resolve EngineKind::Auto first");
+  VCOMP_REQUIRE(false, "make_engine: unknown engine kind");
   return nullptr;
 }
 

@@ -18,17 +18,18 @@ using sim::Word;
 
 namespace {
 
-/// Loads one fully specified vector into all 64 lanes of the good sim.
-void load_vector(DiffSim& sim, const netlist::Netlist& nl,
-                 const TestVector& v) {
+/// Random-phase cap: at most this many 64-pattern blocks.
+constexpr std::size_t kMaxRandomBlocks = 64;
+
+}  // namespace
+
+void load_vector(DiffSim& sim, const TestVector& v) {
+  const netlist::Netlist& nl = sim.graph()->netlist();
   for (std::size_t i = 0; i < nl.num_inputs(); ++i)
     sim.good().set_input(i, v.pi[i] ? ~Word{0} : Word{0});
   for (std::size_t i = 0; i < nl.num_dffs(); ++i)
     sim.good().set_state(i, v.ppi[i] ? ~Word{0} : Word{0});
-  sim.commit_good();
 }
-
-}  // namespace
 
 TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
                                        const std::vector<Fault>& faults,
@@ -55,7 +56,7 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
   std::vector<Word> pi_words(npi), ppi_words(nff);
   std::vector<Word> det_all(faults.size(), 0);
   for (std::size_t block = 0;
-       options.random_idle_blocks > 0 && block < options.max_random_blocks &&
+       options.random_idle_blocks > 0 && block < kMaxRandomBlocks &&
        idle < options.random_idle_blocks;
        ++block) {
     // Stimulus words are drawn serially (one RNG stream, unchanged from the
@@ -145,7 +146,8 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
         faults.size() - base, sims.max_shards(),
         [&](std::size_t shard, std::size_t b, std::size_t e) {
           DiffSim& s = sims.at(shard);
-          load_vector(s, nl, v);
+          load_vector(s, v);
+          s.commit_good();
           for (std::size_t off = b; off < e; ++off) {
             const std::size_t fj = base + off;
             if (detected[fj]) continue;
@@ -168,7 +170,8 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
           faults.size(), sims.max_shards(),
           [&](std::size_t shard, std::size_t b, std::size_t e) {
             DiffSim& s = sims.at(shard);
-            load_vector(s, nl, *it);
+            load_vector(s, *it);
+            s.commit_good();
             bool any = false;
             for (std::size_t fi = b; fi < e; ++fi) {
               if (!detected[fi] || redetected[fi]) continue;

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "vcomp/atpg/test_set.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/util/assert.hpp"
 #include "vcomp/util/rng.hpp"
@@ -80,10 +81,7 @@ BaselineResult run_psfs(const netlist::Netlist& nl,
   // ---- serial phase: cover the leftovers from the aTV pool --------------
   for (const auto& v : baseline.vectors) {
     if (remaining_count == 0) break;
-    for (std::size_t i = 0; i < npi; ++i)
-      sim.good().set_input(i, v.pi[i] ? ~Word{0} : Word{0});
-    for (std::size_t i = 0; i < L; ++i)
-      sim.good().set_state(i, v.ppi[i] ? ~Word{0} : Word{0});
+    atpg::load_vector(sim, v);
     sim.commit_good();
     bool useful = false;
     for (std::size_t i = 0; i < faults.size(); ++i) {

@@ -1,6 +1,7 @@
 #include "vcomp/baselines/virtual_scan.hpp"
 
 #include "vcomp/atpg/podem.hpp"
+#include "vcomp/atpg/test_set.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/scan/fabric.hpp"
 #include "vcomp/scan/lfsr.hpp"
@@ -131,10 +132,7 @@ VirtualScanResult run_virtual_scan(const netlist::Netlist& nl,
 
     // Fault-drop with the concrete vector (full observation; the MISR's
     // tiny aliasing probability is neglected, its hardware is not).
-    for (std::size_t i = 0; i < npi; ++i)
-      sim.good().set_input(i, v.pi[i] ? ~Word{0} : Word{0});
-    for (std::size_t p = 0; p < L; ++p)
-      sim.good().set_state(p, v.ppi[p] ? ~Word{0} : Word{0});
+    atpg::load_vector(sim, v);
     sim.commit_good();
     for (std::size_t i = 0; i < faults.size(); ++i) {
       if (!remaining[i]) continue;
@@ -156,10 +154,7 @@ VirtualScanResult run_virtual_scan(const netlist::Netlist& nl,
   // Serial phase for the leftovers, from the aTV pool.
   for (const auto& v : baseline.vectors) {
     if (remaining_count == 0) break;
-    for (std::size_t i = 0; i < npi; ++i)
-      sim.good().set_input(i, v.pi[i] ? ~Word{0} : Word{0});
-    for (std::size_t p = 0; p < L; ++p)
-      sim.good().set_state(p, v.ppi[p] ? ~Word{0} : Word{0});
+    atpg::load_vector(sim, v);
     sim.commit_good();
     bool useful = false;
     for (std::size_t i = 0; i < faults.size(); ++i) {

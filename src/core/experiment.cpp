@@ -1,9 +1,33 @@
 #include "vcomp/core/experiment.hpp"
 
+#include <stdexcept>
+
+#include "vcomp/netgen/profiles.hpp"
+#include "vcomp/netlist/bench_io.hpp"
+#include "vcomp/netlist/verilog_io.hpp"
 #include "vcomp/util/assert.hpp"
 #include "vcomp/util/parallel.hpp"
 
 namespace vcomp::core {
+
+netlist::Netlist load_circuit(const std::string& spec, bool full_scale) {
+  if (spec.rfind("gen:", 0) == 0) {
+    const std::string name = spec.substr(4);
+    return netgen::generate(full_scale ? netgen::full_scale_profile(name)
+                                       : netgen::profile(name));
+  }
+  if (full_scale)
+    throw std::invalid_argument(
+        "full_scale only applies to gen:<profile> circuits");
+  const auto ends_with = [&](const char* ext) {
+    const std::string e(ext);
+    return spec.size() > e.size() &&
+           spec.compare(spec.size() - e.size(), e.size(), e) == 0;
+  };
+  return ends_with(".v") || ends_with(".sv")
+             ? netlist::read_verilog_file(spec)
+             : netlist::read_bench_file(spec);
+}
 
 CircuitLab::CircuitLab(const netgen::CircuitProfile& profile,
                        const atpg::TestSetOptions& baseline_options)

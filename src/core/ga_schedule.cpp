@@ -14,6 +14,11 @@ namespace {
 
 using Chromosome = std::vector<std::size_t>;
 
+/// Breeding probabilities, per mille: single-point crossover per child,
+/// resample per gene.
+constexpr std::uint32_t kCrossoverMilli = 900;
+constexpr std::uint32_t kMutationMilli = 150;
+
 struct Fitness {
   double m = 0.0;
   double t = 0.0;
@@ -74,10 +79,8 @@ GaResult evolve_schedule(const CircuitLab& lab, const StitchOptions& base,
   VCOMP_REQUIRE(ga.genes >= 1, "chromosome must carry at least one gene");
   VCOMP_REQUIRE(ga.elite < ga.population, "elite must leave room to breed");
   VCOMP_REQUIRE(ga.tournament >= 1, "tournament size must be positive");
-  const std::size_t lo =
-      ga.min_shift > 0 ? std::min(ga.min_shift, L) : std::size_t{1};
-  const std::size_t hi =
-      ga.max_shift > 0 ? std::clamp(ga.max_shift, lo, L) : L;
+  const std::size_t lo = 1;  // genes range over [1, L]
+  const std::size_t hi = L;
 
   Rng rng(ga.seed);
   // Log-uniform gene draw in pure integer arithmetic (libm rounding varies
@@ -163,13 +166,13 @@ GaResult evolve_schedule(const CircuitLab& lab, const StitchOptions& base,
       const Chromosome& pa = pick_parent();
       const Chromosome& pb = pick_parent();
       Chromosome child = pa;
-      if (ga.genes >= 2 && rng.chance(ga.crossover_milli, 1000)) {
+      if (ga.genes >= 2 && rng.chance(kCrossoverMilli, 1000)) {
         const auto cut = static_cast<std::size_t>(
             rng.range(1, static_cast<std::int64_t>(ga.genes) - 1));
         for (std::size_t j = cut; j < ga.genes; ++j) child[j] = pb[j];
       }
       for (auto& gene : child)
-        if (rng.chance(ga.mutation_milli, 1000)) gene = draw_gene();
+        if (rng.chance(kMutationMilli, 1000)) gene = draw_gene();
       next.push_back(std::move(child));
     }
     pop = std::move(next);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 
 #include "vcomp/atpg/fill.hpp"
 #include "vcomp/obs/obs.hpp"
@@ -27,11 +26,8 @@ namespace {
 constexpr std::uint32_t kObservedWeight = 4;
 constexpr std::uint32_t kHiddenWeight = 1;
 
-using Clock = std::chrono::steady_clock;
-
-double secs_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+/// Variable-policy start size; 0 lets VariableShift pick chain length / 8.
+constexpr std::size_t kVariableStart = 0;
 
 // Engine-side registry metrics.  Per-run counts come from a scoped
 // snapshot (obs::scoped_counters); PhaseProfile keeps only wall-clock.
@@ -78,9 +74,8 @@ StitchEngine::StitchEngine(const netlist::Netlist& nl,
       eg_(artifacts.graph),
       scoap_(artifacts.scoap),
       compact_(artifacts.compact),
-      engine_(atpg::make_engine(
-          atpg::resolve_engine_kind(options.atpg_engine), eg_, *scoap_,
-          {.podem = options.podem, .sat = options.sat})),
+      engine_(atpg::make_engine(options.atpg_engine, eg_, *scoap_,
+                                {.podem = options.podem, .sat = options.sat})),
       ssims_(eg_),
       rng_(options.seed) {
   VCOMP_REQUIRE(eg_ != nullptr && scoap_ != nullptr && compact_ != nullptr,
@@ -90,8 +85,8 @@ StitchEngine::StitchEngine(const netlist::Netlist& nl,
   VCOMP_REQUIRE(nl.num_dffs() > 0, "stitching requires a scan fabric");
   VCOMP_REQUIRE(baseline.classes.size() == faults.size(),
                 "baseline classification does not match fault list");
-  order_ = target_order(opts_.selection, eg_, faults.faults(), opts_.hardness,
-                        rng_, &baseline.vectors);
+  order_ = target_order(opts_.selection, eg_, faults.faults(),
+                        tmeas::HardnessOptions{}, rng_, &baseline.vectors);
   scored_.reserve(faults.size());
   shard_scores_.resize(ssims_.max_shards());
   targetable_.assign(faults.size(), 0);
@@ -107,8 +102,7 @@ std::unique_ptr<ShiftPolicy> StitchEngine::make_policy() const {
                                            nl_->num_dffs());
   if (opts_.fixed_shift > 0)
     return std::make_unique<FixedShift>(opts_.fixed_shift);
-  return std::make_unique<VariableShift>(nl_->num_dffs(),
-                                         opts_.variable_start,
+  return std::make_unique<VariableShift>(nl_->num_dffs(), kVariableStart,
                                          opts_.variable_decay_after);
 }
 
@@ -127,13 +121,6 @@ PpiConstraints StitchEngine::constraints_for(const FabricState& state,
     }
   }
   return cons;
-}
-
-void StitchEngine::load_scoring_sim(fault::DiffSim& sim, const TestVector& v) {
-  for (std::size_t i = 0; i < nl_->num_inputs(); ++i)
-    sim.good().set_input(i, v.pi[i] ? ~Word{0} : Word{0});
-  for (std::size_t i = 0; i < nl_->num_dffs(); ++i)
-    sim.good().set_state(i, v.ppi[i] ? ~Word{0} : Word{0});
 }
 
 std::optional<StitchEngine::Candidate> StitchEngine::generate(
@@ -177,35 +164,12 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   const std::size_t n = order_.size();
   const std::size_t start = greedy ? cursor_ : 0;
   std::uint32_t attempts = 0;
-  const auto t_podem = Clock::now();
-  const double ts_podem = obs::trace_now_us();
-  for (std::size_t k = 0; k < n; ++k) {
-    if (cubes.size() >= want) break;
-    if (attempts >= opts_.max_targets_per_cycle) break;
-    const std::size_t idx = order_[(start + k) % n];
-    if (!targetable_[idx] || sets.state(idx) != FaultState::Uncaught)
-      continue;
-    if (redundant_[idx]) {
-      stitch_metrics().redundant_skips.inc();
-      continue;
-    }
-    ++attempts;
-    if (greedy) cursor_ = (start + k + 1) % n;
-    auto res = attempt(idx);
-    if (res.status == PodemStatus::Success)
-      cubes.push_back({std::move(res.cube), idx});
-    else
-      tried_this_cycle_[idx] = cycle_stamp_;
-  }
-
-  if (cubes.empty()) {
-    // Wide failure scan so that "generation failed" really means no
-    // examined target is catchable: every uncaught target at full
-    // backtrack strength.  This sweep only runs when the greedy phase came
-    // up empty, i.e. near stalls.
-    std::uint32_t scanned = 0;
-    for (std::size_t k = 0; k < n && scanned < opts_.max_targets_on_failure;
-         ++k) {
+  {
+    const StitchMetrics& m = stitch_metrics();
+    const obs::Span span("stitch.podem", m.podem_seconds, &podem_seconds_);
+    for (std::size_t k = 0; k < n; ++k) {
+      if (cubes.size() >= want) break;
+      if (attempts >= opts_.max_targets_per_cycle) break;
       const std::size_t idx = order_[(start + k) % n];
       if (!targetable_[idx] || sets.state(idx) != FaultState::Uncaught)
         continue;
@@ -213,27 +177,45 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
         stitch_metrics().redundant_skips.inc();
         continue;
       }
-      // Phase 1 already tried (and failed) some of these this cycle.
-      if (tried_this_cycle_[idx] == cycle_stamp_) continue;
-      ++scanned;
+      ++attempts;
+      if (greedy) cursor_ = (start + k + 1) % n;
       auto res = attempt(idx);
-      if (res.status == PodemStatus::Success) {
+      if (res.status == PodemStatus::Success)
         cubes.push_back({std::move(res.cube), idx});
-        if (greedy) cursor_ = (start + k + 1) % n;
-        if (cubes.size() >= want) break;  // keep the greedy pick diverse
-      } else {
+      else
         tried_this_cycle_[idx] = cycle_stamp_;
+    }
+
+    if (cubes.empty()) {
+      // Wide failure scan so that "generation failed" really means no
+      // examined target is catchable: every uncaught target at full
+      // backtrack strength.  This sweep only runs when the greedy phase came
+      // up empty, i.e. near stalls.
+      std::uint32_t scanned = 0;
+      for (std::size_t k = 0; k < n && scanned < opts_.max_targets_on_failure;
+           ++k) {
+        const std::size_t idx = order_[(start + k) % n];
+        if (!targetable_[idx] || sets.state(idx) != FaultState::Uncaught)
+          continue;
+        if (redundant_[idx]) {
+          stitch_metrics().redundant_skips.inc();
+          continue;
+        }
+        // Phase 1 already tried (and failed) some of these this cycle.
+        if (tried_this_cycle_[idx] == cycle_stamp_) continue;
+        ++scanned;
+        auto res = attempt(idx);
+        if (res.status == PodemStatus::Success) {
+          cubes.push_back({std::move(res.cube), idx});
+          if (greedy) cursor_ = (start + k + 1) % n;
+          if (cubes.size() >= want) break;  // keep the greedy pick diverse
+        } else {
+          tried_this_cycle_[idx] = cycle_stamp_;
+        }
       }
     }
-  }
-  const double dt_podem = secs_since(t_podem);
-  podem_seconds_ += dt_podem;
-  {
-    const StitchMetrics& m = stitch_metrics();
     m.cubes_found.add(cubes.size());
-    m.podem_seconds.add_seconds(dt_podem);
   }
-  obs::trace_complete("stitch.podem", ts_podem, dt_podem);
   if (cubes.empty()) return std::nullopt;
 
   if (!greedy) {
@@ -245,8 +227,8 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
 
   // MostFaults: complete every cube several ways and score all completions
   // in one 64-way pattern-parallel fault-simulation pass.
-  const auto t_score = Clock::now();
-  const double ts_score = obs::trace_now_us();
+  const StitchMetrics& m = stitch_metrics();
+  const obs::Span span("stitch.score", m.scoring_seconds, &scoring_seconds_);
   std::vector<Candidate> cands;
   for (const auto& tc : cubes) {
     for (std::uint32_t f = 0; f < opts_.fills_per_cube && cands.size() < 64;
@@ -351,20 +333,13 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   std::size_t best = 0;
   for (std::size_t k = 1; k < cands.size(); ++k)
     if (score[k] > score[best]) best = k;
-  const double dt_score = secs_since(t_score);
-  scoring_seconds_ += dt_score;
-  {
-    const StitchMetrics& m = stitch_metrics();
-    m.candidates_scored.add(cands.size());
-    m.scoring_seconds.add_seconds(dt_score);
-  }
-  obs::trace_complete("stitch.score", ts_score, dt_score);
+  m.candidates_scored.add(cands.size());
   return std::move(cands[best]);
 }
 
 StitchResult StitchEngine::run() {
-  const auto t_run = Clock::now();
-  const double ts_run = obs::trace_now_us();
+  const StitchMetrics& m = stitch_metrics();
+  const obs::Span span("stitch.run", m.run_seconds);
   const std::size_t L = nl_->num_dffs();
   const std::size_t npi = nl_->num_inputs();
   const std::size_t npo = nl_->num_outputs();
@@ -524,7 +499,8 @@ StitchResult StitchEngine::run() {
     // verdict buffer; the serial merge below walks the buffer in index
     // order, so catches and the retained `remaining` order are identical
     // for every thread count.
-    const auto t_drop = Clock::now();
+    const obs::Span drop_span("stitch.ex_drop",
+                              &res.profile.terminal_seconds);
     std::size_t ex = 0;
     for (const auto& bv : baseline_->vectors) {
       if (remaining.empty()) break;
@@ -533,7 +509,7 @@ StitchResult StitchEngine::run() {
           remaining.size(), ssims_.max_shards(),
           [&](std::size_t shard, std::size_t b, std::size_t e) {
             fault::DiffSim& sim = ssims_.at(shard);
-            load_scoring_sim(sim, bv);
+            atpg::load_vector(sim, bv);
             sim.commit_good();
             for (std::size_t n = b; n < e; ++n)
               drop_hit_[n] =
@@ -560,7 +536,6 @@ StitchResult StitchEngine::run() {
     meter.extra_full_vectors(ex);
     VCOMP_ENSURE(remaining.empty(),
                  "baseline pool failed to cover remaining faults");
-    res.profile.terminal_seconds += secs_since(t_drop);
   } else if (tracker.sets().num_hidden() > 0) {
     // All of f_u is covered; observe the still-hidden faults.  Prefer the
     // cheap partial observation when it provably catches all of them.
@@ -598,13 +573,8 @@ StitchResult StitchEngine::run() {
   res.profile.classify_seconds = tp.classify_seconds;
   res.profile.advance_seconds = tp.advance_seconds;
   res.profile.terminal_seconds += tp.terminal_seconds;
-  res.profile.total_seconds = secs_since(t_run);
-  {
-    const StitchMetrics& m = stitch_metrics();
-    m.runs.inc();
-    m.run_seconds.add_seconds(res.profile.total_seconds);
-  }
-  obs::trace_complete("stitch.run", ts_run, res.profile.total_seconds);
+  res.profile.total_seconds = span.elapsed_seconds();
+  m.runs.inc();
   return res;
 }
 

@@ -19,8 +19,7 @@ bool flow_through(GateType t) {
 }  // namespace
 
 CompactModel::CompactModel(sim::EvalGraph::Ref original,
-                           std::span<const Fault> faults, bool enable,
-                           sim::CompactOptions base) {
+                           std::span<const Fault> faults, bool enable) {
   VCOMP_REQUIRE(original != nullptr, "CompactModel requires a graph");
   mapped_.reserve(faults.size());
 
@@ -54,10 +53,8 @@ CompactModel::CompactModel(sim::EvalGraph::Ref original,
       protect[f.gate] |= sim::kProtectKeep;
     }
   }
-  base.protect = std::move(protect);
-
-  compaction_ =
-      std::make_unique<sim::Compaction>(sim::compact_netlist(nl, base));
+  compaction_ = std::make_unique<sim::Compaction>(
+      sim::compact_netlist(nl, {.protect = std::move(protect)}));
   graph_ = sim::EvalGraph::compile(compaction_->nl);
   const sim::Compaction& c = *compaction_;
 

@@ -64,9 +64,8 @@ std::uint64_t CounterSet::get(std::string_view name) const {
 
 CounterSet Snapshot::counters_only() const {
   CounterSet out;
-  out.values.reserve(counters.size() + gauges.size() + 4 * histograms.size());
+  out.values.reserve(counters.size() + 4 * histograms.size());
   for (const auto& kv : counters) out.values.push_back(kv);
-  for (const auto& kv : gauges) out.values.push_back(kv);
   for (const auto& h : histograms) {
     out.values.emplace_back(h.name + ".count", h.count);
     out.values.emplace_back(h.name + ".sum", h.sum);
@@ -81,27 +80,20 @@ void Snapshot::write_json(std::ostream& os, int indent) const {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   const std::string in1 = pad + "  ";
   const std::string in2 = pad + "    ";
-  auto write_u64_map = [&](const char* key, const auto& pairs, bool comma) {
-    os << in1;
-    write_escaped(os, key);
-    os << ": {";
-    bool first = true;
-    for (const auto& [name, value] : pairs) {
-      os << (first ? "\n" : ",\n") << in2;
-      write_escaped(os, name);
-      os << ": " << value;
-      first = false;
-    }
-    if (!first) os << '\n' << in1;
-    os << (comma ? "}," : "}") << '\n';
-  };
-
   os << pad << "{\n";
-  write_u64_map("counters", counters, true);
-  write_u64_map("gauges", gauges, true);
+  os << in1 << "\"counters\": {";
+  bool first = true;
+  for (const auto& [name, value] : counters) {
+    os << (first ? "\n" : ",\n") << in2;
+    write_escaped(os, name);
+    os << ": " << value;
+    first = false;
+  }
+  if (!first) os << '\n' << in1;
+  os << "},\n";
 
   os << in1 << "\"histograms\": {";
-  bool first = true;
+  first = true;
   for (const auto& h : histograms) {
     os << (first ? "\n" : ",\n") << in2;
     write_escaped(os, h.name);
@@ -157,7 +149,6 @@ struct HistCell {
 // of scopes and per-scope attribution is exact.
 struct ThreadSink {
   std::deque<std::atomic<std::uint64_t>> counters;
-  std::deque<std::atomic<std::uint64_t>> gauges;  // merged by max
   std::deque<HistCell> hists;
   std::deque<std::atomic<double>> timers;
   std::uint64_t token = 0;  // guarded by the state mutex
@@ -165,9 +156,9 @@ struct ThreadSink {
 
 struct State {
   std::mutex m;
-  std::vector<std::string> counter_names, gauge_names, hist_names, timer_names;
-  std::map<std::string, std::uint32_t, std::less<>> counter_ids, gauge_ids,
-      hist_ids, timer_ids;
+  std::vector<std::string> counter_names, hist_names, timer_names;
+  std::map<std::string, std::uint32_t, std::less<>> counter_ids, hist_ids,
+      timer_ids;
   std::vector<ThreadSink*> sinks;  // live threads, registration order
   ThreadSink retired;              // accumulated totals of exited threads
   /// Per-active-scope retirement buckets: totals folded out of live sinks
@@ -221,10 +212,6 @@ void merge_into(ThreadSink& dst, const ThreadSink& src) {
     dst.counters[i].fetch_add(src.counters[i].load(std::memory_order_relaxed),
                               std::memory_order_relaxed);
   }
-  grow_to(dst.gauges, src.gauges.size());
-  for (std::size_t i = 0; i < src.gauges.size(); ++i) {
-    atomic_max(dst.gauges[i], src.gauges[i].load(std::memory_order_relaxed));
-  }
   grow_to(dst.hists, src.hists.size());
   for (std::size_t i = 0; i < src.hists.size(); ++i) {
     const HistCell& h = src.hists[i];
@@ -249,7 +236,6 @@ void merge_into(ThreadSink& dst, const ThreadSink& src) {
 
 void reset_sink(ThreadSink& sink) {
   for (auto& c : sink.counters) c.store(0, std::memory_order_relaxed);
-  for (auto& g : sink.gauges) g.store(0, std::memory_order_relaxed);
   for (auto& h : sink.hists) {
     h.count.store(0, std::memory_order_relaxed);
     h.sum.store(0, std::memory_order_relaxed);
@@ -321,12 +307,6 @@ void counter_add(std::uint32_t slot, std::uint64_t n) {
   sink.counters[slot].fetch_add(n, std::memory_order_relaxed);
 }
 
-void gauge_max(std::uint32_t slot, std::uint64_t v) {
-  ThreadSink& sink = local_sink();
-  ensure_slot(sink.gauges, slot);
-  atomic_max(sink.gauges[slot], v);
-}
-
 void histogram_record(std::uint32_t slot, std::uint64_t v) {
   ThreadSink& sink = local_sink();
   ensure_slot(sink.hists, slot);
@@ -378,11 +358,6 @@ Counter Registry::counter(std::string_view name) {
   return Counter(register_named(name, s.counter_names, s.counter_ids));
 }
 
-Gauge Registry::gauge(std::string_view name) {
-  State& s = state();
-  return Gauge(register_named(name, s.gauge_names, s.gauge_ids));
-}
-
 Histogram Registry::histogram(std::string_view name) {
   State& s = state();
   return Histogram(register_named(name, s.hist_names, s.hist_ids));
@@ -412,15 +387,6 @@ Snapshot build_snapshot(const State& s,
     std::uint64_t total = 0;
     for (const ThreadSink* sink : parts) total += slot_u64(sink->counters, i);
     out.counters.emplace_back(s.counter_names[i], total);
-  }
-
-  out.gauges.reserve(s.gauge_names.size());
-  for (std::size_t i = 0; i < s.gauge_names.size(); ++i) {
-    std::uint64_t hi = 0;
-    for (const ThreadSink* sink : parts) {
-      hi = std::max(hi, slot_u64(sink->gauges, i));
-    }
-    out.gauges.emplace_back(s.gauge_names[i], hi);
   }
 
   out.histograms.reserve(s.hist_names.size());
@@ -459,7 +425,6 @@ Snapshot build_snapshot(const State& s,
 
   auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
   std::sort(out.counters.begin(), out.counters.end(), by_name);
-  std::sort(out.gauges.begin(), out.gauges.end(), by_name);
   std::sort(out.histograms.begin(), out.histograms.end(),
             [](const auto& a, const auto& b) { return a.name < b.name; });
   std::sort(out.timings.begin(), out.timings.end(), by_name);
@@ -487,14 +452,23 @@ void Registry::reset() {
   for (ThreadSink* sink : s.sinks) reset_sink(*sink);
 }
 
-void Registry::begin_scope(std::uint64_t token) {
+namespace {
+
+// Scoped windows: begin_scope(t) activates retention for token t BEFORE
+// any update runs under it; snapshot_scope(t) may be taken once the
+// scope's work has quiesced; end_scope(t) folds the scope's totals into
+// the process-wide ones and frees its retention state.  Tokens are never
+// reused (util::new_task_token), because sinks fold lazily on token
+// change.
+
+void begin_scope(std::uint64_t token) {
   if (token == 0) return;  // token 0 is the ambient process scope
   State& s = state();
   const std::lock_guard<std::mutex> lk(s.m);
   s.scoped_retired.try_emplace(token);
 }
 
-Snapshot Registry::snapshot_scope(std::uint64_t token) const {
+Snapshot snapshot_scope(std::uint64_t token) {
   State& s = state();
   const std::lock_guard<std::mutex> lk(s.m);
   std::vector<const ThreadSink*> parts;
@@ -507,7 +481,7 @@ Snapshot Registry::snapshot_scope(std::uint64_t token) const {
   return build_snapshot(s, parts);
 }
 
-void Registry::end_scope(std::uint64_t token) {
+void end_scope(std::uint64_t token) {
   State& s = state();
   const std::lock_guard<std::mutex> lk(s.m);
   const auto it = s.scoped_retired.find(token);
@@ -516,20 +490,21 @@ void Registry::end_scope(std::uint64_t token) {
   s.scoped_retired.erase(it);
 }
 
+}  // namespace
+
 CounterSet scoped_counters(const std::function<void()>& body) {
-  Registry& reg = Registry::instance();
   const std::uint64_t token = util::new_task_token();
-  reg.begin_scope(token);
+  begin_scope(token);
   try {
     const util::ScopedTaskContext scope(
         util::TaskContext{token, util::task_context().cap});
     body();
   } catch (...) {
-    reg.end_scope(token);
+    end_scope(token);
     throw;
   }
-  CounterSet counters = reg.snapshot_scope(token).counters_only();
-  reg.end_scope(token);
+  CounterSet counters = snapshot_scope(token).counters_only();
+  end_scope(token);
   return counters;
 }
 

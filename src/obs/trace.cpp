@@ -22,7 +22,8 @@ struct TraceEvent {
   double dur_us;
   int tid;
   // Task-scope token at record time (util::task_token()); emitted as the
-  // Chrome-trace "pid" so each serve job renders as its own process row.
+  // Chrome-trace "pid" (token + 1, so the ambient scope is pid 1 and no
+  // scope shares it) and each serve job renders as its own process row.
   std::uint64_t scope;
 };
 
@@ -97,16 +98,17 @@ void clear_trace() {
   t.events.clear();
 }
 
-double trace_now_us() { return trace_enabled() ? now_us() : 0.0; }
+namespace {
 
 void trace_complete(const char* name, double start_us, double dur_seconds) {
-  if (!trace_enabled()) return;
   TraceState& t = tstate();
   const TraceEvent ev{name, start_us, dur_seconds * 1e6, thread_tid(),
                       util::task_token()};
   const std::lock_guard<std::mutex> lk(t.m);
   t.events.push_back(ev);
 }
+
+}  // namespace
 
 void write_chrome_trace(std::ostream& os) {
   std::vector<TraceEvent> events;
@@ -129,22 +131,23 @@ void write_chrome_trace(std::ostream& os) {
     write_double(os, ev.ts_us);
     os << ", \"dur\": ";
     write_double(os, ev.dur_us);
-    os << ", \"pid\": " << (ev.scope == 0 ? 1 : ev.scope)
+    os << ", \"pid\": " << ev.scope + 1
        << ", \"tid\": " << ev.tid << "}";
     first = false;
   }
   os << (first ? "]}" : "\n]}") << '\n';
 }
 
-Span::Span(const char* name, Timer timer, bool has_timer)
+Span::Span(const char* name, Timer timer, bool has_timer, double* seconds)
     : name_(name),
       timer_(timer),
       has_timer_(has_timer),
+      seconds_(seconds),
       active_(false),
       start_us_(-1.0),
       start_ns_(0) {
   const bool want_trace = trace_enabled();
-  if (want_trace || has_timer_) {
+  if (want_trace || has_timer_ || seconds_ != nullptr) {
     active_ = true;
     start_ns_ = now_ns();
     if (want_trace) start_us_ = now_us();
@@ -156,6 +159,7 @@ Span::~Span() {
   const double dur_seconds =
       static_cast<double>(now_ns() - start_ns_) * 1e-9;
   if (has_timer_) timer_.add_seconds(dur_seconds);
+  if (seconds_ != nullptr) *seconds_ += dur_seconds;
   if (start_us_ >= 0.0) trace_complete(name_, start_us_, dur_seconds);
 }
 

@@ -4,10 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "vcomp/netgen/netgen.hpp"
-#include "vcomp/netgen/profiles.hpp"
-#include "vcomp/netlist/bench_io.hpp"
-#include "vcomp/netlist/verilog_io.hpp"
 #include "vcomp/util/assert.hpp"
 #include "vcomp/util/parallel.hpp"
 
@@ -174,23 +170,8 @@ ArtifactRegistry::LabRef ArtifactRegistry::get_or_build(
 
 ArtifactRegistry::LabRef ArtifactRegistry::lab_for_spec(const std::string& spec,
                                                         bool full_scale) {
-  const bool generated = spec.rfind("gen:", 0) == 0;
-  VCOMP_REQUIRE(generated || !full_scale,
-                "full_scale only applies to gen:<profile> specs");
   const std::string memo_key = full_scale ? spec + "#full" : spec;
-
-  auto make_netlist = [&]() -> netlist::Netlist {
-    if (generated) {
-      const std::string name = spec.substr(4);
-      return netgen::generate(full_scale ? netgen::full_scale_profile(name)
-                                         : netgen::profile(name));
-    }
-    const bool verilog =
-        (spec.size() > 2 && spec.rfind(".v") == spec.size() - 2) ||
-        (spec.size() > 3 && spec.rfind(".sv") == spec.size() - 3);
-    return verilog ? netlist::read_verilog_file(spec)
-                   : netlist::read_bench_file(spec);
-  };
+  auto make_netlist = [&] { return core::load_circuit(spec, full_scale); };
 
   // Spec → hash memo: a repeat spec goes straight to the cache key, so a
   // *hit* never re-synthesizes the circuit (the builder below only runs

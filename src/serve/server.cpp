@@ -1,13 +1,13 @@
 #include "vcomp/serve/server.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <stdexcept>
 #include <utility>
 
 #include "vcomp/core/experiment.hpp"
 #include "vcomp/obs/metrics.hpp"
+#include "vcomp/util/assert.hpp"
 #include "vcomp/util/parallel.hpp"
 
 namespace vcomp::serve {
@@ -25,19 +25,12 @@ std::string event_error(const std::string& id, const std::string& message) {
 
 }  // namespace
 
-std::size_t resolve_max_active_jobs(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const char* e = std::getenv("VCOMP_SERVE_THREADS")) {
-    const unsigned long v = std::strtoul(e, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return 2;
-}
-
 Server::Server(const ServeOptions& options)
     : registry_(options.registry_budget),
-      max_active_(resolve_max_active_jobs(options.max_active_jobs)),
-      progress_every_(options.progress_every) {}
+      max_active_(options.max_active_jobs),
+      progress_every_(options.progress_every) {
+  VCOMP_REQUIRE(max_active_ >= 1, "max_active_jobs must be at least 1");
+}
 
 Server::~Server() { drain(); }
 
@@ -100,10 +93,6 @@ bool Server::handle_line(const std::string& line, const Sink& sink) {
   job->sink = sink;
   if (job->spec.progress_every == 0) job->spec.progress_every = progress_every_;
   Job* j = job.get();
-  // Process-global token: scoped metric sinks fold lazily on token
-  // change, so a token must never be reused — not even across Server
-  // instances in one process (the bench's cold mode builds many).
-  job->token = util::new_task_token();
   {
     const std::lock_guard<std::mutex> lk(jobs_m_);
     ++queued_;
@@ -160,20 +149,13 @@ void Server::run_job(Job& job) {
       };
     }
 
-    obs::Registry& reg = obs::Registry::instance();
-    reg.begin_scope(job.token);
+    // The job's cap rides into the counter window (scoped_counters keeps
+    // the caller's cap under its fresh token) and onto every pool worker
+    // run() recruits.
     core::StitchResult result;
-    {
-      // The scoped context rides onto every pool worker run() recruits;
-      // run_on_pool joins before returning, so once run() returns no
-      // worker still carries this token and the snapshot is complete.
-      const util::ScopedTaskContext scope(
-          util::TaskContext{job.token, &job.cap});
-      result = lab->run(opts);
-    }
+    const util::ScopedTaskContext capped(util::TaskContext{0, &job.cap});
     const obs::CounterSet counters =
-        reg.snapshot_scope(job.token).counters_only();
-    reg.end_scope(job.token);
+        obs::scoped_counters([&] { result = lab->run(opts); });
 
     const std::string label =
         circuit_label(job.spec.circuit, job.spec.full_scale);
@@ -184,7 +166,6 @@ void Server::run_job(Job& job) {
     out += '}';
     result_line = std::move(out);
   } catch (const std::exception& e) {
-    obs::Registry::instance().end_scope(job.token);
     result_line = event_error(job.spec.id, e.what());
   }
 

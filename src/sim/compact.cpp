@@ -130,12 +130,11 @@ Compaction compact_netlist(const netlist::Netlist& nl,
     // Buffer / inverter-chain folding.  Sound even on fault-carrying
     // gates: the good value flows through unchanged, and the fault layer
     // expands the gate's faults into pin forces on its (kept) consumers.
-    if (opts.fold_buffers && gate.type == GateType::Buf) {
+    if (gate.type == GateType::Buf) {
       fold_to(pins[0], out.stats.buffers_folded);
       continue;
     }
-    if (opts.fold_buffers && gate.type == GateType::Not &&
-        not_input[pins[0]] != kNoGate) {
+    if (gate.type == GateType::Not && not_input[pins[0]] != kNoGate) {
       // Not(Not(s)) == s; not_input guarantees the middle inverter is
       // fault-free and force-free, so the identity holds in every machine.
       fold_to(not_input[pins[0]], out.stats.buffers_folded);
@@ -153,7 +152,7 @@ Compaction compact_netlist(const netlist::Netlist& nl,
     // Robust constant derivation.  Everything it reads (const_val,
     // not_input, pin identity) is fault-free and force-free, so a derived
     // constant holds in every tracked machine, not just the good one.
-    if (opts.fold_consts) {
+    {
       const std::size_t np = pins.size();
       bool all_known = true;
       bool any0 = false, any1 = false;
@@ -233,7 +232,7 @@ Compaction compact_netlist(const netlist::Netlist& nl,
     }
 
     // Structural dedupe over the resolved pins.
-    if (opts.dedupe && (p & kProtectNoDedupe) == 0) {
+    if ((p & kProtectNoDedupe) == 0) {
       key.clear();
       key.push_back(static_cast<GateId>(gate.type));
       key.insert(key.end(), pins.begin(), pins.end());

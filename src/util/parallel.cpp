@@ -16,7 +16,7 @@ std::size_t env_parallelism() {
     char* end = nullptr;
     const unsigned long t = std::strtoul(v, &end, 10);
     if (end != v && *end == '\0' && t > 0)
-      return std::min<std::size_t>(t, 1024);
+      return std::min<std::size_t>(t, kMaxParallelism);
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? hc : 1;
@@ -83,6 +83,8 @@ void ThreadPool::stop() {
 void ThreadPool::configure(std::size_t threads) {
   VCOMP_REQUIRE(!on_worker(),
                 "ThreadPool::configure must not be called from a worker");
+  VCOMP_REQUIRE(threads <= kMaxParallelism,
+                "ThreadPool::configure above kMaxParallelism");
   stop();
   {
     std::lock_guard<std::mutex> lock(m_);

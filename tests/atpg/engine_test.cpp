@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <stdexcept>
-
 #include "vcomp/fault/collapse.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/netgen/example_circuit.hpp"
@@ -37,31 +34,17 @@ bool cube_detects(const netlist::Netlist& nl, const Cube& cube,
 }
 
 TEST(EngineKindTest, FromString) {
-  EngineKind k = EngineKind::Auto;
+  EngineKind k = EngineKind::Race;
   EXPECT_TRUE(engine_kind_from_string("podem", k));
   EXPECT_EQ(k, EngineKind::Podem);
   EXPECT_TRUE(engine_kind_from_string("sat", k));
   EXPECT_EQ(k, EngineKind::Sat);
   EXPECT_TRUE(engine_kind_from_string("race", k));
   EXPECT_EQ(k, EngineKind::Race);
-  EXPECT_TRUE(engine_kind_from_string("auto", k));
-  EXPECT_EQ(k, EngineKind::Auto);
+  EXPECT_FALSE(engine_kind_from_string("auto", k));
   EXPECT_FALSE(engine_kind_from_string("fancy", k));
   EXPECT_FALSE(engine_kind_from_string("", k));
-}
-
-TEST(EngineKindTest, EnvResolution) {
-  EXPECT_EQ(engine_kind_from_env(nullptr), EngineKind::Podem);
-  EXPECT_EQ(engine_kind_from_env(""), EngineKind::Podem);
-  EXPECT_EQ(engine_kind_from_env("race"), EngineKind::Race);
-  EXPECT_EQ(engine_kind_from_env("sat"), EngineKind::Sat);
-  EXPECT_THROW(engine_kind_from_env("fancy"), std::runtime_error);
-  EXPECT_THROW(engine_kind_from_env("auto"), std::runtime_error);
-  // Auto resolves through the process environment; explicit kinds
-  // override it.
-  EXPECT_EQ(resolve_engine_kind(EngineKind::Auto),
-            engine_kind_from_env(std::getenv("VCOMP_ATPG")));
-  EXPECT_EQ(resolve_engine_kind(EngineKind::Sat), EngineKind::Sat);
+  EXPECT_EQ(k, EngineKind::Race);  // rejected tokens leave it untouched
 }
 
 TEST(EngineTest, FactoryProducesNamedEngines) {

@@ -3,10 +3,12 @@
 #
 # Passes iff <command> exits 2, prints <expected line> exactly, and never
 # reaches netlist generation (vcomp_stitch prints a "netlist:" line once
-# the circuit is built), i.e. the bad flag was rejected up front.
+# the circuit is built), i.e. the bad flag was rejected up front.  Stdin
+# is /dev/null, so a daemon that wrongly accepts the flag exits on EOF
+# instead of waiting for requests.
 want=$1
 shift
-out=$("$@" 2>&1)
+out=$("$@" 2>&1 </dev/null)
 rc=$?
 printf '%s\n' "$out"
 if [ "$rc" -ne 2 ]; then

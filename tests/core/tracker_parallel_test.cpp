@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "vcomp/core/experiment.hpp"
@@ -121,54 +123,78 @@ TEST(TrackerParallel, WalkIsThreadCountInvariant) {
 }
 
 TEST(TrackerParallel, EngineCycleStatsAndScheduleThreadCountInvariant) {
-  const CircuitLab lab(netgen::profile("s444"));
-  StitchOptions opts;  // variable shift, MostFaults
+  // Every constrained-ATPG engine, on two configurations: s444 with the
+  // variable shift, and s1423 at the 3/8 info point on a 2-chain fabric.
+  const CircuitLab s444(netgen::profile("s444"));
+  const CircuitLab s1423(netgen::profile("s1423"));
+  StitchOptions fixed;
+  fixed.num_chains = 2;
+  ASSERT_TRUE(apply_info_ratio(fixed, s1423.netlist(), 3.0 / 8));
+  const std::pair<const CircuitLab*, StitchOptions> configs[] = {
+      {&s444, StitchOptions{}}, {&s1423, fixed}};
 
   struct Run {
     StitchResult result;
     obs::CounterSet counters;
   };
-  const auto run_at = [&](std::size_t threads) {
-    util::ScopedParallelism scoped(threads);
-    Run run;
-    run.counters = obs::scoped_counters([&] { run.result = lab.run(opts); });
-    return run;
-  };
-  const Run serial_run = run_at(1);
-  const Run pooled_run = run_at(4);
-  const StitchResult& serial = serial_run.result;
-  const StitchResult& pooled = pooled_run.result;
+  for (const atpg::EngineKind engine :
+       {atpg::EngineKind::Podem, atpg::EngineKind::Sat,
+        atpg::EngineKind::Race}) {
+    for (const auto& config : configs) {
+      const CircuitLab& lab = *config.first;
+      SCOPED_TRACE(std::string(atpg::to_string(engine)) + " on " +
+                   lab.name());
+      StitchOptions opts = config.second;
+      opts.atpg_engine = engine;
+      const auto run_at = [&](std::size_t threads) {
+        util::ScopedParallelism scoped(threads);
+        Run run;
+        run.counters =
+            obs::scoped_counters([&] { run.result = lab.run(opts); });
+        return run;
+      };
+      const Run serial_run = run_at(1);
+      const Run pooled_run = run_at(4);
+      const StitchResult& serial = serial_run.result;
+      const StitchResult& pooled = pooled_run.result;
 
-  EXPECT_EQ(serial.cycles, pooled.cycles);  // full CycleStats sequence
-  EXPECT_EQ(serial.schedule.vectors, pooled.schedule.vectors);
-  EXPECT_EQ(serial.schedule.shifts, pooled.schedule.shifts);
-  EXPECT_EQ(serial.schedule.terminal_observe, pooled.schedule.terminal_observe);
-  EXPECT_EQ(serial.schedule.extra, pooled.schedule.extra);
-  EXPECT_EQ(serial.vectors_applied, pooled.vectors_applied);
-  EXPECT_EQ(serial.extra_full_vectors, pooled.extra_full_vectors);
-  EXPECT_EQ(serial.time_ratio, pooled.time_ratio);
-  EXPECT_EQ(serial.memory_ratio, pooled.memory_ratio);
-  EXPECT_EQ(serial.uncovered, pooled.uncovered);
-  // Profile *timings* differ run to run, but the work counters may not:
-  // the run's whole scoped set (podem.*, diffsim.*, blocklanesim.*,
-  // stitch.*, tracker.*) must match, and it must not be vacuous.
-  EXPECT_EQ(serial_run.counters, pooled_run.counters);
-  EXPECT_GT(serial_run.counters.get("podem.calls"), 0u);
-  EXPECT_GT(serial_run.counters.get("diffsim.simulations"), 0u);
-  EXPECT_GT(serial_run.counters.get("tracker.hidden_advanced"), 0u);
+      EXPECT_EQ(serial.cycles, pooled.cycles);  // full CycleStats sequence
+      EXPECT_EQ(serial.schedule.vectors, pooled.schedule.vectors);
+      EXPECT_EQ(serial.schedule.shifts, pooled.schedule.shifts);
+      EXPECT_EQ(serial.schedule.plans, pooled.schedule.plans);
+      EXPECT_EQ(serial.schedule.terminal_observe,
+                pooled.schedule.terminal_observe);
+      EXPECT_EQ(serial.schedule.extra, pooled.schedule.extra);
+      EXPECT_EQ(serial.vectors_applied, pooled.vectors_applied);
+      EXPECT_EQ(serial.extra_full_vectors, pooled.extra_full_vectors);
+      EXPECT_EQ(serial.time_ratio, pooled.time_ratio);
+      EXPECT_EQ(serial.memory_ratio, pooled.memory_ratio);
+      EXPECT_EQ(serial.uncovered, 0u);  // coverage preserved
+      EXPECT_EQ(pooled.uncovered, 0u);
+      // Profile *timings* differ run to run, but the work counters may
+      // not: the run's whole scoped set (podem.*, atpg.sat_*, diffsim.*,
+      // blocklanesim.*, stitch.*, tracker.*) must match, and it must not
+      // be vacuous.
+      EXPECT_EQ(serial_run.counters, pooled_run.counters);
+      EXPECT_GT(serial_run.counters.get(engine == atpg::EngineKind::Sat
+                                            ? "atpg.sat_calls"
+                                            : "podem.calls"),
+                0u);
+      EXPECT_GT(serial_run.counters.get("diffsim.simulations"), 0u);
+      EXPECT_GT(serial_run.counters.get("tracker.hidden_advanced"), 0u);
+    }
+  }
 }
 
 // Golden regression: the s444 rows of EXPERIMENTS.md Table 2.  These pin
 // the exact schedule-level outcome of the default flow; any change here is
 // a behavior change, not a perf change, and must update EXPERIMENTS.md.
-// The rows encode the PODEM engine's cubes, so the engine is pinned
-// explicitly — the test must stay green under a VCOMP_ATPG=sat/race CI leg.
+// The rows encode the PODEM engine's cubes (the StitchOptions default).
 TEST(TrackerParallel, GoldenTable2RowsS444) {
   const CircuitLab lab(netgen::profile("s444"));
   ASSERT_EQ(lab.atv(), 60u);
 
   StitchOptions var;  // variable-shift policy
-  var.atpg_engine = atpg::EngineKind::Podem;
   const StitchResult rv = lab.run(var);
   EXPECT_EQ(rv.vectors_applied, 87u);
   EXPECT_EQ(rv.extra_full_vectors, 0u);
@@ -177,7 +203,6 @@ TEST(TrackerParallel, GoldenTable2RowsS444) {
   EXPECT_EQ(rv.uncovered, 0u);
 
   StitchOptions fixed;  // the 5/8 info point (the paper's best fixed shift)
-  fixed.atpg_engine = atpg::EngineKind::Podem;
   ASSERT_TRUE(apply_info_ratio(fixed, lab.netlist(), 5.0 / 8));
   const StitchResult rf = lab.run(fixed);
   EXPECT_EQ(rf.vectors_applied, 57u);

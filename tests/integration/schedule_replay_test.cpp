@@ -64,9 +64,15 @@ class ScheduleReplay : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ScheduleReplay, ReplayReproducesRun) {
   CircuitLab lab(netgen::profile(GetParam()));
-  StitchOptions opts;
-  opts.seed = 17;
-  expect_replay_matches(lab, opts, lab.run(opts));
+  for (const atpg::EngineKind engine :
+       {atpg::EngineKind::Podem, atpg::EngineKind::Sat,
+        atpg::EngineKind::Race}) {
+    SCOPED_TRACE(atpg::to_string(engine));
+    StitchOptions opts;
+    opts.seed = 17;
+    opts.atpg_engine = engine;
+    expect_replay_matches(lab, opts, lab.run(opts));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, ScheduleReplay,

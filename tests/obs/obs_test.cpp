@@ -1,5 +1,5 @@
 // Unit tests for the vcomp::obs metrics registry and trace spans:
-// counter/gauge/histogram semantics, deterministic cross-thread merges,
+// counter/histogram semantics, deterministic cross-thread merges,
 // span nesting, Chrome-trace JSON schema, and registry reset between
 // cases.  Every test starts from a reset registry, so cases are
 // order-independent within this binary.
@@ -54,17 +54,6 @@ TEST_F(ObsTest, HandlesAreIdempotentByName) {
   EXPECT_EQ(occurrences, 1u);
 }
 
-TEST_F(ObsTest, GaugeKeepsHighWaterMark) {
-  const Gauge g = gauge("test.gauge");
-  g.record(5);
-  g.record(9);
-  g.record(3);  // below the mark: must not lower it
-  const Snapshot s = Registry::instance().snapshot();
-  ASSERT_EQ(s.gauges.size(), 1u);
-  EXPECT_EQ(s.gauges[0].first, "test.gauge");
-  EXPECT_EQ(s.gauges[0].second, 9u);
-}
-
 TEST_F(ObsTest, HistogramBucketsByBitWidth) {
   const Histogram h = histogram("test.hist");
   h.record(0);  // bucket 0
@@ -107,7 +96,6 @@ TEST_F(ObsTest, MergeAcrossThreadsIsDeterministic) {
         const Counter second = counter(t % 2 ? "merge.a" : "merge.b");
         const Counter a = t % 2 ? second : first;  // always merge.a
         const Counter b = t % 2 ? first : second;  // always merge.b
-        const Gauge g = gauge("merge.gauge");
         const Histogram h = histogram("merge.hist");
         // Update values are functions of a global index, so the multiset
         // of updates is identical however it is split across threads.
@@ -115,7 +103,6 @@ TEST_F(ObsTest, MergeAcrossThreadsIsDeterministic) {
           const std::uint64_t global = i * threads + t;
           a.inc();
           b.add(2);
-          g.record(global);
           h.record(global % 17);
         }
       });
@@ -142,13 +129,10 @@ TEST_F(ObsTest, SnapshotSurvivesThreadExit) {
 
 TEST_F(ObsTest, ResetZeroesValuesAndKeepsNames) {
   counter("test.reset").add(5);
-  gauge("test.reset_gauge").record(5);
   histogram("test.reset_hist").record(5);
   Registry::instance().reset();
   const Snapshot s = Registry::instance().snapshot();
   EXPECT_EQ(counter_value(s, "test.reset"), 0u);
-  ASSERT_EQ(s.gauges.size(), 1u);
-  EXPECT_EQ(s.gauges[0].second, 0u);
   ASSERT_EQ(s.histograms.size(), 1u);
   EXPECT_EQ(s.histograms[0].count, 0u);
   // The slot survives: the old handle keeps working after the reset.
@@ -159,7 +143,6 @@ TEST_F(ObsTest, ResetZeroesValuesAndKeepsNames) {
 TEST_F(ObsTest, CountersOnlyExcludesTimingsAndSorts) {
   timer("test.z_timer").add_seconds(1.5);
   counter("test.m_counter").inc();
-  gauge("test.a_gauge").record(4);
   histogram("test.k_hist").record(6);
   const Snapshot s = Registry::instance().snapshot();
   ASSERT_EQ(s.timings.size(), 1u);
@@ -172,7 +155,6 @@ TEST_F(ObsTest, CountersOnlyExcludesTimingsAndSorts) {
   ASSERT_TRUE(std::is_sorted(
       cs.values.begin(), cs.values.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; }));
-  EXPECT_EQ(cs.get("test.a_gauge"), 4u);
   EXPECT_EQ(cs.get("test.k_hist.count"), 1u);
   EXPECT_EQ(cs.get("test.k_hist.sum"), 6u);
   EXPECT_EQ(cs.get("test.m_counter"), 1u);
@@ -191,7 +173,7 @@ TEST_F(ObsTest, ScopedCountersSeeOnlyTheirWindow) {
   c.add(5);  // ambient: outside any window
   const CounterSet inside = scoped_counters([&] { c.add(3); });
   EXPECT_EQ(inside.get("test.scoped"), 3u);
-  // end_scope folded the window into the process-wide totals.
+  // The window folded into the process-wide totals.
   EXPECT_EQ(counter_value(Registry::instance().snapshot(), "test.scoped"),
             8u);
 }
@@ -203,7 +185,6 @@ TEST_F(ObsTest, SnapshotJsonHasAllSections) {
   Registry::instance().snapshot().write_json(os);
   const std::string j = os.str();
   EXPECT_NE(j.find("\"counters\""), std::string::npos);
-  EXPECT_NE(j.find("\"gauges\""), std::string::npos);
   EXPECT_NE(j.find("\"histograms\""), std::string::npos);
   EXPECT_NE(j.find("\"timings_seconds\""), std::string::npos);
   EXPECT_NE(j.find("\"test.json\": 3"), std::string::npos);
@@ -250,7 +231,6 @@ std::string field(const std::string& obj, const std::string& key) {
 
 TEST_F(ObsTest, TraceDisabledByDefault) {
   EXPECT_FALSE(trace_enabled());
-  EXPECT_EQ(trace_now_us(), 0.0);
   { const Span s("untraced"); }
   std::ostringstream os;
   write_chrome_trace(os);
@@ -267,8 +247,7 @@ TEST_F(ObsTest, ChromeTraceSchemaAndSpanNesting) {
       counter("trace.work").inc();  // keep the spans non-empty
     }
   }
-  const double t0 = trace_now_us();
-  trace_complete("manual", t0, 0.001);
+  { const Span after("after"); }
   set_trace_enabled(false);
 
   std::ostringstream os;
@@ -309,6 +288,22 @@ TEST_F(ObsTest, ChromeTraceSchemaAndSpanNesting) {
   EXPECT_EQ(field(outer_ev, "tid"), field(inner_ev, "tid"));
 }
 
+TEST_F(ObsTest, ScopedSpansGetTheirOwnTracePid) {
+  set_trace_enabled(true);
+  { const Span s("ambient"); }
+  (void)scoped_counters([] { const Span s("scoped"); });
+  (void)scoped_counters([] { const Span s("scoped"); });
+  set_trace_enabled(false);
+  std::ostringstream os;
+  write_chrome_trace(os);
+  std::vector<std::string> pids;
+  for (const auto& ev : trace_event_objects(os.str()))
+    pids.push_back(field(ev, "pid"));
+  ASSERT_EQ(pids.size(), 3u);
+  std::sort(pids.begin(), pids.end());
+  EXPECT_EQ(std::unique(pids.begin(), pids.end()), pids.end());
+}
+
 TEST_F(ObsTest, ClearTraceDropsBufferedEvents) {
   set_trace_enabled(true);
   { const Span s("doomed"); }
@@ -323,11 +318,14 @@ TEST_F(ObsTest, ClearTraceDropsBufferedEvents) {
 
 TEST_F(ObsTest, SpanFeedsTimerFromOneClockRead) {
   const Timer t = timer("test.span_timer");
-  { const Span s("timed", t); }
+  double profile_seconds = 0;
+  { const Span s("timed", t, &profile_seconds); }
   const Snapshot s = Registry::instance().snapshot();
   ASSERT_EQ(s.timings.size(), 1u);
   EXPECT_EQ(s.timings[0].first, "test.span_timer");
   EXPECT_GE(s.timings[0].second, 0.0);
+  // The profile field and the Timer see the same elapsed seconds.
+  EXPECT_EQ(profile_seconds, s.timings[0].second);
 }
 
 }  // namespace

@@ -100,6 +100,7 @@ TEST(Protocol, BadConfigValueMessages) {
   EXPECT_EQ(error_for(R"({"info":3})"), "info must be a number in (0,1]");
   EXPECT_EQ(error_for(R"({"partition":"snake"})"),
             "partition must be round-robin | contiguous | random");
+  EXPECT_EQ(error_for(R"({"atpg":"auto"})"), "atpg must be podem | sat | race");
 }
 
 TEST(Protocol, CircuitLabel) {

@@ -223,21 +223,6 @@ TEST(Compact, NoDedupeFlagBlocksVictimAbsorption) {
   expect_equivalent(nl, c, 8);
 }
 
-TEST(Compact, DisabledPassesAreIdentity) {
-  const auto nl = netgen::generate("s444");
-  CompactOptions opts;
-  opts.fold_buffers = false;
-  opts.fold_consts = false;
-  opts.dedupe = false;
-  const auto c = compact_netlist(nl, opts);
-  EXPECT_EQ(c.stats.gates_after, c.stats.gates_before);
-  EXPECT_EQ(c.stats.buffers_folded + c.stats.consts_folded +
-                c.stats.gates_deduped,
-            0u);
-  for (GateId g = 0; g < nl.num_gates(); ++g) EXPECT_TRUE(c.kept(g));
-  expect_equivalent(nl, c, 9);
-}
-
 TEST(Compact, GeneratedCircuitsShrinkAndStayEquivalent) {
   for (const char* name : {"s444", "s526", "s1423"}) {
     const auto nl = netgen::generate(name);

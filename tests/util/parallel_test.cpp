@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "vcomp/util/assert.hpp"
+
 namespace vcomp::util {
 namespace {
 
@@ -18,6 +20,14 @@ TEST(ThreadPool, ParallelismIsAtLeastOne) {
 TEST(ThreadPool, ConfigureResizes) {
   ScopedParallelism scoped(3);
   EXPECT_EQ(parallelism(), 3u);
+}
+
+TEST(ThreadPool, ConfigureRejectsSizeAboveCapBeforeStoppingWorkers) {
+  // Starts no thread: the cap check throws before the pool is touched.
+  const std::size_t before = parallelism();
+  EXPECT_THROW(ThreadPool::instance().configure(kMaxParallelism + 1),
+               vcomp::ContractError);
+  EXPECT_EQ(parallelism(), before);
 }
 
 TEST(ScopedParallelism, RestoresPreviousSize) {

@@ -12,23 +12,26 @@
 //     --port <n>       listen on 127.0.0.1:<n> (0 = ephemeral; the bound
 //                      port is printed as "listening on 127.0.0.1:<p>").
 //                      Default: serve stdin/stdout as a pipe.
-//     --max-jobs <n>   concurrent job limit (default: VCOMP_SERVE_THREADS,
-//                      else 2)
+//     --max-jobs <n>   concurrent job limit, >= 1 (default 2)
 //     --cache <n>      artifact registry budget in circuits (default
 //                      unlimited; LRU eviction, in-flight builds pinned)
 //     --progress <n>   default progress event cadence in cycles (0 = only
 //                      when a job sets progress_every)
-//     --threads <n>    worker pool size (default: VCOMP_THREADS or all
-//                      hardware threads; shared by all jobs via malleable
-//                      fair-share caps)
+//     --threads <n>    worker pool size, at most 1024 (default:
+//                      VCOMP_THREADS or all hardware threads; shared by all
+//                      jobs via malleable fair-share caps)
 //     --metrics <f>    write the process obs metrics snapshot on exit
-//     --trace <f>      write Chrome-trace JSON on exit (per-job events
-//                      carry the job's scope token as the trace pid)
+//     --trace <f>      write Chrome-trace JSON on exit (each job's events
+//                      carry their own trace pid, derived from the job's
+//                      scope token)
 //
 // Example session (pipe mode):
 //   {"op":"submit","id":"a","circuit":"gen:c432","config":{"chains":4}}
 //   {"op":"status"}
 //   {"op":"shutdown"}
+//
+// A malformed numeric flag exits 2 with an "error: <flag> expects ..."
+// line before the daemon starts.
 
 #include <cstdio>
 #include <fstream>
@@ -38,6 +41,7 @@
 #include "vcomp/obs/obs.hpp"
 #include "vcomp/serve/net.hpp"
 #include "vcomp/util/parallel.hpp"
+#include "cli_args.hpp"
 
 using namespace vcomp;
 
@@ -68,20 +72,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (a == "--port") port = std::stoi(need("--port"));
-    else if (a == "--max-jobs")
-      opts.max_active_jobs = std::stoul(need("--max-jobs"));
-    else if (a == "--cache")
-      opts.registry_budget = std::stoul(need("--cache"));
-    else if (a == "--progress")
-      opts.progress_every = std::stoul(need("--progress"));
+    auto count = [&](const char* what, auto... range) {
+      return cli::parse_count(what, need(what), range...);
+    };
+    if (a == "--port") port = static_cast<int>(count("--port", 0, 65535));
+    else if (a == "--max-jobs") opts.max_active_jobs = count("--max-jobs", 1);
+    else if (a == "--cache") opts.registry_budget = count("--cache");
+    else if (a == "--progress") opts.progress_every = count("--progress");
     else if (a == "--threads")
-      util::ThreadPool::instance().configure(std::stoul(need("--threads")));
+      util::ThreadPool::instance().configure(
+          count("--threads", 0, util::kMaxParallelism));
     else if (a == "--metrics") metrics_path = need("--metrics");
     else if (a == "--trace") trace_path = need("--trace");
     else return usage(argv[0]);
   }
-  if (port > 65535) return usage(argv[0]);
 
   if (!trace_path.empty()) obs::set_trace_enabled(true);
 

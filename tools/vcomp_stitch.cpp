@@ -25,16 +25,15 @@
 //                         gen:s38584 (original gate counts; slower)
 //     --selection <s>     random | hardness | most-faults (default) | adi
 //                         (ascending Accidental Detection Index order)
-//     --atpg <e>          podem | sat | race constrained-ATPG engine
-//                         (default: VCOMP_ATPG, else podem; race runs
-//                         PODEM first and falls through to the built-in
-//                         CDCL SAT backend on Aborted)
+//     --atpg <e>          podem (default) | sat | race constrained-ATPG
+//                         engine (race runs PODEM first and falls through
+//                         to the built-in CDCL SAT backend on Aborted)
 //     --capture <c>       normal (default) | vxor
 //     --hxor <taps>       horizontal-XOR scan-out with <taps> taps
 //     --seed <n>          run seed
-//     --threads <n>       worker threads (default: VCOMP_THREADS or all
-//                         hardware threads; results are identical for any
-//                         thread count)
+//     --threads <n>       worker threads, at most 1024 (default:
+//                         VCOMP_THREADS or all hardware threads; results
+//                         are identical for any thread count)
 //     --profile           print the per-phase wall-clock breakdown of the
 //                         stitched run (PODEM, scoring, shift, classify,
 //                         hidden advance, terminal) with throughput, next
@@ -45,7 +44,7 @@
 //                         scoped obs counters, byte-identical to the row
 //                         the vcomp_serve daemon emits for the same job
 //     --metrics <file>    write the merged obs metrics snapshot (counters,
-//                         gauges, histograms, timings) as JSON
+//                         histograms, timings) as JSON
 //     --trace <file>      capture scoped spans and write Chrome-trace JSON
 //                         (load in chrome://tracing or Perfetto)
 //
@@ -67,13 +66,11 @@
 #include "vcomp/core/experiment.hpp"
 #include "vcomp/core/ga_schedule.hpp"
 #include "vcomp/core/schedule_io.hpp"
-#include "vcomp/netgen/netgen.hpp"
-#include "vcomp/netlist/bench_io.hpp"
-#include "vcomp/netlist/verilog_io.hpp"
 #include "vcomp/obs/obs.hpp"
 #include "vcomp/scan/fabric.hpp"
 #include "vcomp/serve/protocol.hpp"
 #include "vcomp/util/parallel.hpp"
+#include "cli_args.hpp"
 
 using namespace vcomp;
 
@@ -159,16 +156,8 @@ int main(int argc, char** argv) {
     };
     // CLI-only counts: digits only, so "abc" or "-1" exit 2 instead of
     // aborting or wrapping around.
-    auto count = [&](const char* what) -> std::size_t {
-      const char* v = need(what);
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (*v < '0' || *v > '9' || *end != '\0') {
-        std::fprintf(stderr, "error: %s expects a non-negative integer, "
-                     "got \"%s\"\n", what, v);
-        std::exit(2);
-      }
-      return static_cast<std::size_t>(n);
+    auto count = [&](const char* what, auto... range) {
+      return cli::parse_count(what, need(what), range...);
     };
     if (std::find(std::begin(kJobFlags), std::end(kJobFlags), a) !=
         std::end(kJobFlags)) {
@@ -188,7 +177,8 @@ int main(int argc, char** argv) {
     else if (a == "--ga-gens") gopts.generations = count("--ga-gens");
     else if (a == "--ga-genes") gopts.genes = count("--ga-genes");
     else if (a == "--threads")
-      util::ThreadPool::instance().configure(count("--threads"));
+      util::ThreadPool::instance().configure(
+          count("--threads", 0, util::kMaxParallelism));
     else if (a == "--profile") profile = true;
     else if (a == "--row") row_path = need("--row");
     else if (a == "--metrics") metrics_path = need("--metrics");
@@ -214,25 +204,7 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) obs::set_trace_enabled(true);
 
   try {
-    // gen:<profile> synthesizes the named netgen circuit (e.g. gen:s1423);
-    // otherwise format by extension: .v / .sv structural Verilog, else
-    // .bench.
-    const bool generated = path.rfind("gen:", 0) == 0;
-    const bool verilog = !generated && path.size() > 2 &&
-                         (path.rfind(".v") == path.size() - 2 ||
-                          (path.size() > 3 &&
-                           path.rfind(".sv") == path.size() - 3));
-    if (full_scale && !generated) {
-      std::fprintf(stderr, "--full-scale only applies to gen:<profile>\n");
-      return 2;
-    }
-    auto nl = generated
-                  ? netgen::generate(full_scale
-                                         ? netgen::full_scale_profile(
-                                               path.substr(4))
-                                         : netgen::profile(path.substr(4)))
-              : verilog ? netlist::read_verilog_file(path)
-                        : netlist::read_bench_file(path);
+    auto nl = core::load_circuit(path, full_scale);
     std::printf("netlist: %zu PIs, %zu POs, %zu scan cells, %zu gates  "
                 "(%zu threads)\n",
                 nl.num_inputs(), nl.num_outputs(), nl.num_dffs(),
@@ -240,9 +212,8 @@ int main(int argc, char** argv) {
     if (opts.num_chains > 1)
       std::printf("fabric: %zu chains, %s partition\n", opts.num_chains,
                   scan::to_string(opts.partition));
-    const auto engine_kind = atpg::resolve_engine_kind(opts.atpg_engine);
-    if (engine_kind != atpg::EngineKind::Podem)
-      std::printf("atpg engine: %s\n", atpg::to_string(engine_kind));
+    if (opts.atpg_engine != atpg::EngineKind::Podem)
+      std::printf("atpg engine: %s\n", atpg::to_string(opts.atpg_engine));
     core::CircuitLab lab(path, std::move(nl));
     if (info > 0.0 &&
         !core::apply_info_ratio(opts, lab.netlist(), info)) {
