@@ -39,9 +39,11 @@ int main() {
   core::StitchTracker tracker(nl, cf, scan::CaptureMode::Normal,
                               scan::ScanOutModel::direct(3));
   // Private replica per fault for printing TV_f / RP_f like the paper.
-  std::map<std::size_t, scan::ChainState> machines;
+  const scan::Fabric fabric(nl);
+  const auto direct = scan::FabricOut::direct(fabric);
+  std::map<std::size_t, scan::FabricState> machines;
   for (std::size_t i = 0; i < cf.size(); ++i)
-    machines.emplace(i, scan::ChainState(3));
+    machines.emplace(i, scan::FabricState(fabric));
 
   report::Table table({"fault", "cyc1 TV", "RP", "cyc2 TV", "RP", "cyc3 TV",
                        "RP", "cyc4 TV", "RP", "caught"});
@@ -49,7 +51,8 @@ int main() {
       cf.size(), std::vector<std::string>(9, ""));
 
   fault::BlockLaneSim lanes(sim::EvalGraph::compile(nl));
-  scan::ChainState good_chain(3);
+  scan::FabricState good_chain(fabric);
+  std::vector<std::uint8_t> observed;
   std::vector<std::size_t> caught_at(cf.size(), 0);
 
   for (std::size_t c = 0; c < tvs.size(); ++c) {
@@ -68,7 +71,7 @@ int main() {
     if (c == 0)
       good_chain.load(tvs[c]);
     else
-      good_chain.shift(in_bits, scan::ScanOutModel::direct(3));
+      good_chain.shift({2}, in_bits, direct, observed);
 
     for (std::size_t i = 0; i < cf.size(); ++i) {
       if (caught_at[i] != 0) continue;
@@ -76,13 +79,13 @@ int main() {
       if (c == 0)
         m.load(tvs[c]);
       else
-        m.shift(in_bits, scan::ScanOutModel::direct(3));
+        m.shift({2}, in_bits, direct, observed);
       const std::string tv_f = bits_str(m.bits());
 
       lanes.clear();
       const int lane = lanes.add_lane();
       for (std::size_t p = 0; p < 3; ++p)
-        lanes.set_state(lane, p, m.at(p) != 0);
+        lanes.set_state(lane, p, m.at_flat(p) != 0);
       lanes.inject(lane, cf[i]);
       lanes.eval();
       std::vector<std::uint8_t> rp(3);
@@ -99,7 +102,7 @@ int main() {
     lanes.clear();
     const int lane = lanes.add_lane();
     for (std::size_t p = 0; p < 3; ++p)
-      lanes.set_state(lane, p, good_chain.at(p) != 0);
+      lanes.set_state(lane, p, good_chain.at_flat(p) != 0);
     lanes.eval();
     std::vector<std::uint8_t> rp(3);
     for (std::size_t p = 0; p < 3; ++p)

@@ -67,7 +67,7 @@ TrackerRow bench_circuit(const netgen::CircuitProfile& profile,
     v.ppi.resize(L);
     for (std::size_t p = 0; p < L; ++p) {
       v.ppi[p] = (s < L && p >= s)
-                     ? tracker.chain().at(p - s)
+                     ? tracker.state().at_flat(p - s)
                      : static_cast<std::uint8_t>(rng.bit());
     }
     return v;

@@ -15,6 +15,7 @@
 
 #include "vcomp/core/experiment.hpp"
 #include "vcomp/report/table.hpp"
+#include "vcomp/scan/fabric.hpp"
 #include "vcomp/scan/observe.hpp"
 
 using namespace vcomp;
@@ -32,8 +33,9 @@ std::string bits_str(const std::vector<std::uint8_t>& b) {
 int main() {
   // ---- Figure 3 mechanics ----------------------------------------------
   std::printf("Vertical XOR capture (Figure 3):\n");
-  scan::ChainState plain{std::vector<std::uint8_t>{1, 1, 0}};
-  scan::ChainState vxor = plain;
+  using Chains = std::vector<std::vector<std::uint8_t>>;
+  scan::FabricState plain{Chains{{1, 1, 0}}};
+  scan::FabricState vxor = plain;
   const std::vector<std::uint8_t> response{0, 1, 1};
   plain.capture(response, scan::CaptureMode::Normal);
   vxor.capture(response, scan::CaptureMode::VXor);
@@ -45,9 +47,10 @@ int main() {
   // ---- Figure 4 mechanics ----------------------------------------------
   std::printf("Horizontal XOR scan-out (Figure 4, 6 cells, 3 taps):\n");
   const auto hx = scan::ScanOutModel::hxor(6, 3);
-  scan::ChainState chain{std::vector<std::uint8_t>{1, 0, 1, 1, 0, 1}};
-  const auto observed =
-      chain.shift(std::vector<std::uint8_t>{0, 0}, hx);
+  scan::FabricState chain{Chains{{1, 0, 1, 1, 0, 1}}};
+  std::vector<std::uint8_t> observed;
+  chain.shift({2}, std::vector<std::uint8_t>{0, 0}, scan::FabricOut{{hx}},
+              observed);
   std::printf("  cells a..f = 101101; two shift cycles observe:\n");
   std::printf("  cycle 1: b^d^f = %d,  cycle 2: a^c^e = %d\n\n",
               observed[0], observed[1]);

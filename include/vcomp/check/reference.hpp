@@ -68,8 +68,9 @@ void ref_trit_eval(const netlist::Netlist& nl, std::vector<sim::Trit>& vals);
 
 /// Independent bit-level scan shift: emits one observed bit per cycle (XOR
 /// of \p out taps), slides the chain toward the tail and inserts
-/// \p in_bits[j] at the head.  Mirrors the documented chain semantics
-/// without calling scan::ChainState.
+/// \p in_bits[j] at the head, one cell at a time.  Mirrors the documented
+/// chain semantics without calling scan::FabricState, whose block-move
+/// shift it checks.
 void ref_shift(std::vector<std::uint8_t>& chain,
                const std::vector<std::uint8_t>& in_bits,
                const scan::ScanOutModel& out,

@@ -42,7 +42,9 @@ void write_schedule(std::ostream& out, const StitchedSchedule& schedule);
 std::string write_schedule_string(const StitchedSchedule& schedule);
 
 /// Parses a schedule written by write_schedule; throws vcomp::ContractError
-/// on malformed input.
+/// on malformed input: a count that is not plain decimal digits or does
+/// not fit 64 bits, a token after a line's last field, or an observe
+/// count larger than the chain line's length.
 StitchedSchedule read_schedule(std::istream& in);
 
 StitchedSchedule read_schedule_string(const std::string& text);

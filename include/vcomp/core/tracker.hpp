@@ -136,12 +136,6 @@ class StitchTracker {
   const scan::Fabric& fabric() const { return fabric_; }
   /// The fault-free machine's fabric content.
   const scan::FabricState& state() const { return state_; }
-  /// Single-chain compatibility accessor (requires num_chains == 1).
-  const scan::ChainState& chain() const {
-    VCOMP_REQUIRE(fabric_.num_chains() == 1,
-                  "chain() is the single-chain accessor; use state()");
-    return state_.chain(0);
-  }
   std::size_t cycle() const { return cycle_; }
   const netlist::Netlist& netlist() const { return *nl_; }
 

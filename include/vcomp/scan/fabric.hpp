@@ -10,7 +10,7 @@
 ///
 /// Conventions:
 ///  * chains are indexed 0..N-1; within a chain, position 0 is the scan-in
-///    head and L_c-1 the scan-out tail (exactly the ChainState convention);
+///    head and L_c-1 the scan-out tail (the scan_chain.hpp convention);
 ///  * the *flat* view lays the chains out chain-major: flat position
 ///    chain_offset(c) + p addresses position p of chain c.  Every per-cell
 ///    buffer of the tracker (capture bits, pre-capture snapshots, diff
@@ -128,8 +128,6 @@ class Fabric {
   std::size_t max_len_ = 0;
 };
 
-class FabricState;
-
 /// Per-chain scan-out observation models (one ScanOutModel per chain; the
 /// ATE reads every chain's tap XOR each shift cycle).
 struct FabricOut {
@@ -141,32 +139,42 @@ struct FabricOut {
   static FabricOut hxor(const Fabric& fabric, std::size_t num_taps);
 };
 
-/// The bit contents of every chain of one machine; value semantics so
-/// hidden-fault tracking can copy whole fabrics freely.
+/// Read-only view of one chain of a FabricState (position 0 = head).
+struct ChainView {
+  std::span<const std::uint8_t> cells;
+
+  std::size_t length() const { return cells.size(); }
+  std::uint8_t at(std::size_t pos) const { return cells[pos]; }
+};
+
+/// The bit contents of every chain of one machine, stored as one flat
+/// chain-major vector (the layout every per-cell buffer of the tracker
+/// uses); value semantics so hidden-fault tracking can copy it freely.
 class FabricState {
  public:
   explicit FabricState(const Fabric& fabric);
   /// Explicit per-chain contents (tests, reference machines).
-  explicit FabricState(std::vector<ChainState> chains);
+  explicit FabricState(std::vector<std::vector<std::uint8_t>> chains);
 
-  std::size_t num_chains() const { return chains_.size(); }
-  std::size_t total_length() const { return offsets_.back(); }
-  const ChainState& chain(std::size_t c) const { return chains_[c]; }
-  ChainState& mutable_chain(std::size_t c) { return chains_[c]; }
-  std::uint8_t at_flat(std::size_t flat_pos) const;
+  std::size_t num_chains() const { return offsets_.size() - 1; }
+  std::size_t total_length() const { return bits_.size(); }
+  /// Flat chain-major contents.
+  const std::vector<std::uint8_t>& bits() const { return bits_; }
+  std::uint8_t at_flat(std::size_t flat_pos) const { return bits_[flat_pos]; }
+  ChainView chain(std::size_t c) const {
+    return {std::span<const std::uint8_t>(bits_).subspan(
+        offsets_[c], offsets_[c + 1] - offsets_[c])};
+  }
 
   /// Parallel load of every chain; \p bits are flat chain-major.
   void load(std::span<const std::uint8_t> bits);
-
-  /// Copies the current contents out, flat chain-major (cleared first,
-  /// capacity reused).
-  void flat_bits(std::vector<std::uint8_t>& out) const;
 
   /// Shifts plan[c] cycles into chain c.  \p in_bits holds the scan-in
   /// streams flat chain-major (plan[0] bits for chain 0 first; within a
   /// chain, bit j enters at the head on that chain's cycle j).  Observed
   /// bits are appended to \p observed in the same chain-major order
-  /// (cleared first, capacity reused).
+  /// (cleared first, capacity reused).  Cost per chain: one block move
+  /// plus one read per tap and observed bit.
   void shift(const ShiftPlan& plan, std::span<const std::uint8_t> in_bits,
              const FabricOut& out, std::vector<std::uint8_t>& observed);
 
@@ -177,8 +185,8 @@ class FabricState {
   friend bool operator==(const FabricState&, const FabricState&) = default;
 
  private:
-  std::vector<ChainState> chains_;
-  std::vector<std::size_t> offsets_;
+  std::vector<std::uint8_t> bits_;    // flat chain-major cells
+  std::vector<std::size_t> offsets_;  // chain -> flat offset, plus the end
 };
 
 /// True if a flat chain-major difference vector (one bit per cell, 1 =

@@ -538,7 +538,7 @@ TrackerRun run_tracker(const Case& c, bool compact) {
       out.terminal_caught =
           tracker.terminal_observe(c.schedule.terminal_observe);
   });
-  tracker.state().flat_bits(out.chain_ff);
+  out.chain_ff = tracker.state().bits();
   out.faults_classified = counters.get("tracker.faults_classified");
   out.hidden_advanced = counters.get("tracker.hidden_advanced");
   for (std::uint32_t i : tracked_indices(c)) {
@@ -546,7 +546,7 @@ TrackerRun run_tracker(const Case& c, bool compact) {
     if (out.state[i] == core::FaultState::Caught)
       out.catch_cycle[i] = tracker.sets().catch_cycle(i);
     else if (out.state[i] == core::FaultState::Hidden)
-      tracker.sets().hidden_state(i).flat_bits(out.hidden_chain[i]);
+      out.hidden_chain[i] = tracker.sets().hidden_state(i).bits();
   }
   return out;
 }
@@ -696,7 +696,7 @@ std::optional<Failure> check_flush(const Case& c, std::uint64_t flush_seed,
         return fail("flush", tag + "full-flush observation violates GF(2) "
                                    "superposition at stream bit " +
                                  std::to_string(k));
-    fs.flat_bits(img);
+    img = fs.bits();
     for (std::size_t k = 0; k < L; ++k)
       if (img[k] != (end_s0[k] ^ end_0f[k]))
         return fail("flush", tag + "post-flush contents violate GF(2) "
@@ -730,8 +730,7 @@ std::optional<Failure> check_flush(const Case& c, std::uint64_t flush_seed,
                   tag + "partial-shift observations diverge from the naive "
                         "reference (master shift " +
                       std::to_string(s) + ")");
-    ps.flat_bits(end_s0);  // reuse as the compiled post-shift image
-    if (end_s0 != img)
+    if (ps.bits() != img)
       return fail("flush",
                   tag + "partial-shift contents diverge from the naive "
                         "reference (master shift " +
@@ -740,7 +739,7 @@ std::optional<Failure> check_flush(const Case& c, std::uint64_t flush_seed,
       const std::size_t off = fabric.chain_offset(ch);
       const std::size_t len = fabric.chain_length(ch);
       for (std::size_t p = plan[ch]; p < len; ++p)
-        if (end_s0[off + p] != state[off + p - plan[ch]])
+        if (ps.at_flat(off + p) != state[off + p - plan[ch]])
           return fail("flush", tag + "retained region of chain " +
                                    std::to_string(ch) +
                                    " corrupted at position " +

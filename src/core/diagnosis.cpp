@@ -10,7 +10,6 @@ namespace vcomp::core {
 using atpg::TestVector;
 using fault::Fault;
 using fault::BlockLaneSim;
-using scan::ChainState;
 
 std::size_t ObservationStream::hamming(const ObservationStream& other) const {
   VCOMP_REQUIRE(bits.size() == other.bits.size(),
@@ -34,7 +33,15 @@ ObservationStream simulate_device(const netlist::Netlist& nl,
 
   BlockLaneSim lanes(sim::EvalGraph::compile(nl));
   ObservationStream stream;
-  ChainState chain(L);
+  const scan::Fabric fabric(nl);  // one chain, identity order
+  scan::FabricState chain(fabric);
+  std::vector<std::uint8_t> obs;
+  // Shifts in_bits into the chain; the observations join the stream.
+  auto shift_out = [&](const std::vector<std::uint8_t>& in_bits,
+                       const scan::ScanOutModel& model) {
+    chain.shift({in_bits.size()}, in_bits, scan::FabricOut{{model}}, obs);
+    stream.bits.insert(stream.bits.end(), obs.begin(), obs.end());
+  };
 
   auto capture_cycle = [&](const std::vector<std::uint8_t>& pi_bits) {
     lanes.clear();
@@ -42,7 +49,7 @@ ObservationStream simulate_device(const netlist::Netlist& nl,
     for (std::size_t i = 0; i < npi; ++i) lanes.set_pi_all(i, pi_bits[i] != 0);
     // Chain position == dff index (identity chain order).
     for (std::size_t p = 0; p < L; ++p)
-      lanes.set_state(lane, p, chain.at(p) != 0);
+      lanes.set_state(lane, p, chain.at_flat(p) != 0);
     if (fault != nullptr) lanes.inject(lane, *fault);
     lanes.eval();
     for (std::size_t o = 0; o < npo; ++o)
@@ -65,18 +72,13 @@ ObservationStream simulate_device(const netlist::Netlist& nl,
     } else {
       std::vector<std::uint8_t> in_bits(s);
       for (std::size_t j = 0; j < s; ++j) in_bits[j] = v.ppi[s - 1 - j];
-      const auto obs = chain.shift(in_bits, out);
-      stream.bits.insert(stream.bits.end(), obs.begin(), obs.end());
+      shift_out(in_bits, out);
     }
     capture_cycle(v.pi);
   }
 
   // Terminal observation.
-  {
-    const std::vector<std::uint8_t> zeros(schedule.terminal_observe, 0);
-    const auto obs = chain.shift(zeros, out);
-    stream.bits.insert(stream.bits.end(), obs.begin(), obs.end());
-  }
+  shift_out(std::vector<std::uint8_t>(schedule.terminal_observe, 0), out);
 
   // Appended traditional vectors: full load (unloading — observing — the
   // whole previous response) + capture, then a final full unload.
@@ -84,15 +86,11 @@ ObservationStream simulate_device(const netlist::Netlist& nl,
   for (const TestVector& v : schedule.extra) {
     std::vector<std::uint8_t> in_bits(L);
     for (std::size_t j = 0; j < L; ++j) in_bits[j] = v.ppi[L - 1 - j];
-    const auto obs = chain.shift(in_bits, full_out);
-    stream.bits.insert(stream.bits.end(), obs.begin(), obs.end());
+    shift_out(in_bits, full_out);
     capture_cycle(v.pi);
   }
-  if (!schedule.extra.empty()) {
-    const std::vector<std::uint8_t> zeros(L, 0);
-    const auto obs = chain.shift(zeros, full_out);
-    stream.bits.insert(stream.bits.end(), obs.begin(), obs.end());
-  }
+  if (!schedule.extra.empty())
+    shift_out(std::vector<std::uint8_t>(L, 0), full_out);
   return stream;
 }
 

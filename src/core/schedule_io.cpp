@@ -1,5 +1,6 @@
 #include "vcomp/core/schedule_io.hpp"
 
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -29,35 +30,51 @@ std::vector<std::uint8_t> parse_bits(const std::string& s) {
   return bits;
 }
 
+/// Parses a count: one or more decimal digits whose value fits 64 bits.
+std::uint64_t parse_count(const std::string& tok, const char* what) {
+  VCOMP_REQUIRE(!tok.empty(), std::string("missing ") + what + " in schedule");
+  std::uint64_t value = 0;
+  for (char ch : tok) {
+    VCOMP_REQUIRE(ch >= '0' && ch <= '9',
+                  std::string("bad ") + what + " in schedule: " + tok);
+    const auto digit = static_cast<std::uint64_t>(ch - '0');
+    VCOMP_REQUIRE(value <= (UINT64_MAX - digit) / 10,
+                  std::string(what) + " overflows in schedule: " + tok);
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 /// Parses the <shift> field of a vector line: a scalar shift count, or a
 /// comma-separated per-chain plan whose sum is the master shift size.
 void parse_shift_field(const std::string& tok, std::size_t& shift,
                        scan::ShiftPlan& plan) {
   plan.clear();
-  std::size_t value = 0;
-  bool have_digit = false;
-  bool comma_list = false;
-  for (char ch : tok) {
-    if (ch == ',') {
-      VCOMP_REQUIRE(have_digit, "malformed shift plan in schedule");
-      plan.push_back(value);
-      value = 0;
-      have_digit = false;
-      comma_list = true;
-      continue;
-    }
-    VCOMP_REQUIRE(ch >= '0' && ch <= '9', "bad shift character in schedule");
-    value = value * 10 + static_cast<std::size_t>(ch - '0');
-    have_digit = true;
+  shift = 0;
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = tok.find(',', begin);
+    const std::size_t v = parse_count(tok.substr(begin, end - begin), "shift");
+    VCOMP_REQUIRE(shift <= SIZE_MAX - v, "shift plan overflows in schedule");
+    shift += v;
+    plan.push_back(v);
+    if (end == std::string::npos) break;
+    begin = end + 1;
   }
-  VCOMP_REQUIRE(have_digit, "malformed shift field in schedule");
-  if (comma_list) {
-    plan.push_back(value);
-    shift = 0;
-    for (std::size_t v : plan) shift += v;
-  } else {
-    shift = value;
-  }
+  if (plan.size() == 1) plan.clear();  // a scalar shift count, not a plan
+}
+
+/// Reads the next whitespace-separated token of \p ls as a count.
+std::uint64_t read_count(std::istringstream& ls, const char* what) {
+  std::string tok;
+  ls >> tok;
+  return parse_count(tok, what);
+}
+
+/// Rejects anything after the last expected field of a line.
+void require_line_end(std::istringstream& ls, const std::string& kw) {
+  std::string extra;
+  VCOMP_REQUIRE(!(ls >> extra),
+                "trailing token '" + extra + "' on " + kw + " line in schedule");
 }
 
 /// Schedule-kind tokens are lower-case slugs: policy and selection names
@@ -132,7 +149,7 @@ StitchedSchedule read_schedule(std::istream& in) {
     std::string kw;
     ls >> kw;
     if (kw == "chain") {
-      ls >> chain;
+      chain = read_count(ls, "chain length");
       have_chain = true;
     } else if (kw == "kind") {
       ls >> sched.kind;
@@ -140,13 +157,14 @@ StitchedSchedule read_schedule(std::istream& in) {
                     "malformed kind line in schedule");
     } else if (kw == "chains") {
       std::string policy;
-      ls >> sched.num_chains >> policy >> sched.partition_seed;
-      VCOMP_REQUIRE(!ls.fail(), "malformed chains line");
+      sched.num_chains = read_count(ls, "chain count");
+      ls >> policy;
+      sched.partition_seed = read_count(ls, "partition seed");
       VCOMP_REQUIRE(sched.num_chains >= 1, "chain count must be positive");
       VCOMP_REQUIRE(scan::partition_from_string(policy, sched.partition),
                     "unknown partition policy: " + policy);
     } else if (kw == "pis") {
-      ls >> pis;
+      pis = read_count(ls, "PI count");
     } else if (kw == "vector") {
       std::string shift_tok, pi, ppi;
       ls >> shift_tok >> pi >> ppi;
@@ -164,7 +182,7 @@ StitchedSchedule read_schedule(std::istream& in) {
       sched.shifts.push_back(shift);
       if (!plan.empty()) sched.plans.push_back(std::move(plan));
     } else if (kw == "observe") {
-      ls >> sched.terminal_observe;
+      sched.terminal_observe = read_count(ls, "observe count");
     } else if (kw == "extra") {
       std::string pi, ppi;
       ls >> pi >> ppi;
@@ -176,7 +194,10 @@ StitchedSchedule read_schedule(std::istream& in) {
     } else {
       VCOMP_REQUIRE(false, "unknown schedule keyword: " + kw);
     }
+    require_line_end(ls, kw);
   }
+  VCOMP_REQUIRE(!have_chain || sched.terminal_observe <= chain,
+                "observe count exceeds the chain length in schedule");
   if (sched.num_chains > 1) {
     VCOMP_REQUIRE(sched.plans.size() == sched.vectors.size(),
                   "multi-chain schedule is missing per-chain plans");

@@ -10,7 +10,6 @@
 namespace vcomp::core {
 
 using atpg::TestVector;
-using scan::ChainState;
 using sim::Block;
 using sim::Word;
 
@@ -190,7 +189,7 @@ CycleStats StitchTracker::apply(const TestVector& v,
   ++cycle_;
 
   // Apply & capture the fault-free machine.
-  state_.flat_bits(pre_capture_);
+  pre_capture_ = state_.bits();
   atpg::load_vector(*sim0_, v);
   sim0_->commit_good();
   read_po_bits();
@@ -279,13 +278,9 @@ CycleStats StitchTracker::apply(const TestVector& v,
       state_blocks_.assign(L, Block::zero());
       for (std::size_t k = 0; k < batch_.size(); ++k) {
         lanes_.add_lane();
-        const scan::FabricState& hs = sets_.hidden_state(batch_[k]);
-        for (std::size_t c = 0; c < fabric_.num_chains(); ++c) {
-          const auto& bits = hs.chain(c).bits();
-          const std::size_t base_p = fabric_.chain_offset(c);
-          for (std::size_t p = 0; p < bits.size(); ++p)
-            state_blocks_[base_p + p].w[k / 64] |= Word{bits[p]} << (k % 64);
-        }
+        const auto& bits = sets_.hidden_state(batch_[k]).bits();
+        for (std::size_t p = 0; p < L; ++p)
+          state_blocks_[p].w[k / 64] |= Word{bits[p]} << (k % 64);
         lanes_.inject_mapped(static_cast<int>(k), model_->mapped(batch_[k]));
       }
       for (std::size_t pi = 0; pi < npi; ++pi)
@@ -340,17 +335,12 @@ CycleStats StitchTracker::apply(const TestVector& v,
 namespace {
 
 /// Flat chain-major difference between a hidden fault's fabric and the
-/// fault-free fabric, written into \p diff (resized to the total length).
-void fabric_diff(const scan::Fabric& fabric, const scan::FabricState& a,
-                 const scan::FabricState& b, std::vector<std::uint8_t>& diff) {
-  diff.resize(fabric.total_length());
-  for (std::size_t c = 0; c < fabric.num_chains(); ++c) {
-    const auto& ab = a.chain(c).bits();
-    const auto& bb = b.chain(c).bits();
-    const std::size_t base = fabric.chain_offset(c);
-    for (std::size_t p = 0; p < ab.size(); ++p)
-      diff[base + p] = static_cast<std::uint8_t>(ab[p] ^ bb[p]);
-  }
+/// fault-free fabric, written into \p diff.
+void fabric_diff(const scan::FabricState& a, const scan::FabricState& b,
+                 std::vector<std::uint8_t>& diff) {
+  diff.resize(a.total_length());
+  for (std::size_t p = 0; p < diff.size(); ++p)
+    diff[p] = static_cast<std::uint8_t>(a.at_flat(p) ^ b.at_flat(p));
 }
 
 }  // namespace
@@ -363,7 +353,7 @@ bool StitchTracker::partial_observe_suffices(
   bool ok = true;
   sets_.hidden_list(observe_list_);
   for (std::size_t i : observe_list_) {
-    fabric_diff(fabric_, sets_.hidden_state(i), state_, diff_);
+    fabric_diff(sets_.hidden_state(i), state_, diff_);
     if (!scan::fabric_diff_observable(fabric_, diff_, plan, out_model_)) {
       ok = false;
       break;
@@ -386,7 +376,7 @@ std::size_t StitchTracker::terminal_observe(const scan::ShiftPlan& plan) {
   std::size_t caught = 0;
   sets_.hidden_list(observe_list_);
   for (std::size_t i : observe_list_) {
-    fabric_diff(fabric_, sets_.hidden_state(i), state_, diff_);
+    fabric_diff(sets_.hidden_state(i), state_, diff_);
     if (scan::fabric_diff_observable(fabric_, diff_, plan, out_model_)) {
       sets_.set_caught(i, cycle_ + 1);
       ++caught;

@@ -186,66 +186,56 @@ FabricOut FabricOut::hxor(const Fabric& fabric, std::size_t num_taps) {
   return out;
 }
 
-FabricState::FabricState(const Fabric& fabric) {
-  chains_.reserve(fabric.num_chains());
-  offsets_.assign(fabric.num_chains() + 1, 0);
-  for (std::size_t c = 0; c < fabric.num_chains(); ++c) {
-    chains_.emplace_back(fabric.chain_length(c));
-    offsets_[c + 1] = offsets_[c] + fabric.chain_length(c);
-  }
+FabricState::FabricState(const Fabric& fabric)
+    : bits_(fabric.total_length(), 0), offsets_(fabric.num_chains() + 1, 0) {
+  for (std::size_t c = 0; c < fabric.num_chains(); ++c)
+    offsets_[c + 1] = fabric.chain_offset(c) + fabric.chain_length(c);
 }
 
-FabricState::FabricState(std::vector<ChainState> chains)
-    : chains_(std::move(chains)) {
-  VCOMP_REQUIRE(!chains_.empty(), "FabricState requires at least one chain");
-  offsets_.assign(chains_.size() + 1, 0);
-  for (std::size_t c = 0; c < chains_.size(); ++c) {
-    VCOMP_REQUIRE(chains_[c].length() > 0, "FabricState chains must be non-empty");
-    offsets_[c + 1] = offsets_[c] + chains_[c].length();
+FabricState::FabricState(std::vector<std::vector<std::uint8_t>> chains)
+    : offsets_(1, 0) {
+  VCOMP_REQUIRE(!chains.empty(), "FabricState requires at least one chain");
+  for (const auto& chain : chains) {
+    VCOMP_REQUIRE(!chain.empty(), "FabricState chains must be non-empty");
+    bits_.insert(bits_.end(), chain.begin(), chain.end());
+    offsets_.push_back(bits_.size());
   }
-}
-
-std::uint8_t FabricState::at_flat(std::size_t flat_pos) const {
-  // The chains are few; a linear scan beats a binary search at real sizes.
-  std::size_t c = 0;
-  while (flat_pos >= offsets_[c + 1]) ++c;
-  return chains_[c].at(flat_pos - offsets_[c]);
 }
 
 void FabricState::load(std::span<const std::uint8_t> bits) {
   VCOMP_REQUIRE(bits.size() == total_length(), "load size mismatch");
-  for (std::size_t c = 0; c < chains_.size(); ++c) {
-    chains_[c].load(bits.subspan(offsets_[c], chains_[c].length()));
-  }
-}
-
-void FabricState::flat_bits(std::vector<std::uint8_t>& out) const {
-  out.clear();
-  out.reserve(total_length());
-  for (const ChainState& chain : chains_) {
-    out.insert(out.end(), chain.bits().begin(), chain.bits().end());
-  }
+  std::copy(bits.begin(), bits.end(), bits_.begin());
 }
 
 void FabricState::shift(const ShiftPlan& plan,
                         std::span<const std::uint8_t> in_bits,
                         const FabricOut& out,
                         std::vector<std::uint8_t>& observed) {
-  VCOMP_REQUIRE(plan.size() == chains_.size(), "plan size mismatch");
-  VCOMP_REQUIRE(out.chains.size() == chains_.size(),
+  VCOMP_REQUIRE(plan.size() == num_chains(), "plan size mismatch");
+  VCOMP_REQUIRE(out.chains.size() == num_chains(),
                 "scan-out model size mismatch");
   observed.clear();
   observed.reserve(in_bits.size());
   std::size_t off = 0;
-  for (std::size_t c = 0; c < chains_.size(); ++c) {
-    VCOMP_REQUIRE(plan[c] <= chains_[c].length(),
-                  "cannot shift more bits than the chain holds");
-    VCOMP_REQUIRE(plan[c] <= in_bits.size() - off,
-                  "scan-in stream size mismatch");
-    for (std::size_t j = 0; j < plan[c]; ++j) {
-      observed.push_back(chains_[c].shift_one(in_bits[off + j], out.chains[c]));
+  for (std::size_t c = 0; c < num_chains(); ++c) {
+    const std::size_t k = plan[c];
+    const auto cell = bits_.begin() + static_cast<std::ptrdiff_t>(offsets_[c]);
+    const std::size_t len = offsets_[c + 1] - offsets_[c];
+    VCOMP_REQUIRE(k <= len, "cannot shift more bits than the chain holds");
+    VCOMP_REQUIRE(k <= in_bits.size() - off, "scan-in stream size mismatch");
+    const std::span<const std::uint8_t> in = in_bits.subspan(off, k);
+    // On shift cycle j, tap t holds the old cell t-j, or — once the cell
+    // has been pushed out — the scan-in bit that entered j-1-t cycles ago.
+    for (std::size_t j = 0; j < k; ++j) {
+      std::uint8_t o = 0;
+      for (std::uint32_t t : out.chains[c].taps)
+        o ^= t >= j ? cell[t - j] : in[j - 1 - t] & 1;
+      observed.push_back(o);
     }
-    off += plan[c];
+    std::copy_backward(cell, cell + static_cast<std::ptrdiff_t>(len - k),
+                       cell + static_cast<std::ptrdiff_t>(len));
+    for (std::size_t p = 0; p < k; ++p) cell[p] = in[k - 1 - p] & 1;
+    off += k;
   }
   VCOMP_REQUIRE(off == in_bits.size(), "scan-in stream size mismatch");
 }
@@ -253,9 +243,9 @@ void FabricState::shift(const ShiftPlan& plan,
 void FabricState::capture(std::span<const std::uint8_t> next_state,
                           CaptureMode mode) {
   VCOMP_REQUIRE(next_state.size() == total_length(), "capture size mismatch");
-  for (std::size_t c = 0; c < chains_.size(); ++c) {
-    chains_[c].capture(next_state.subspan(offsets_[c], chains_[c].length()),
-                       mode);
+  for (std::size_t i = 0; i < bits_.size(); ++i) {
+    const std::uint8_t v = next_state[i] & 1;
+    bits_[i] = (mode == CaptureMode::VXor) ? (bits_[i] ^ v) : v;
   }
 }
 

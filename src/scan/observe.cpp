@@ -1,7 +1,7 @@
 #include "vcomp/scan/observe.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "vcomp/util/assert.hpp"
 
@@ -10,18 +10,14 @@ namespace vcomp::scan {
 bool diff_observable(std::span<const std::uint8_t> diff, std::size_t s,
                      const ScanOutModel& out) {
   VCOMP_REQUIRE(s <= diff.size(), "observation window exceeds chain length");
-  // Fast path for direct observation: any difference in the s tail cells.
-  if (out.taps.size() == 1 && out.taps[0] == diff.size() - 1) {
-    for (std::size_t i = diff.size() - s; i < diff.size(); ++i)
-      if (diff[i]) return true;
-    return false;
+  // Shifted-in bits carry no difference, so observation j is the XOR of
+  // the tapped cells that still hold an original cell: diff[t - j].
+  for (std::size_t j = 0; j < s; ++j) {
+    std::uint8_t o = 0;
+    for (std::uint32_t t : out.taps)
+      if (t >= j) o ^= diff[t - j];
+    if (o) return true;
   }
-  // General case: run the difference vector through the shift register.
-  ChainState state{std::vector<std::uint8_t>(diff.begin(), diff.end())};
-  const std::vector<std::uint8_t> zeros(s, 0);
-  const auto observed = state.shift(zeros, out);
-  for (std::uint8_t b : observed)
-    if (b) return true;
   return false;
 }
 

@@ -27,47 +27,4 @@ ScanOutModel ScanOutModel::hxor(std::size_t length, std::size_t num_taps) {
   return m;
 }
 
-void ChainState::load(std::span<const std::uint8_t> bits) {
-  VCOMP_REQUIRE(bits.size() == bits_.size(), "load size mismatch");
-  std::copy(bits.begin(), bits.end(), bits_.begin());
-}
-
-std::vector<std::uint8_t> ChainState::shift(
-    std::span<const std::uint8_t> in_bits, const ScanOutModel& out) {
-  std::vector<std::uint8_t> observed;
-  shift(in_bits, out, observed);
-  return observed;
-}
-
-void ChainState::shift(std::span<const std::uint8_t> in_bits,
-                       const ScanOutModel& out,
-                       std::vector<std::uint8_t>& observed) {
-  VCOMP_REQUIRE(in_bits.size() <= bits_.size(),
-                "cannot shift more bits than the chain holds");
-  observed.clear();
-  observed.reserve(in_bits.size());
-  for (std::size_t j = 0; j < in_bits.size(); ++j) {
-    observed.push_back(shift_one(in_bits[j], out));
-  }
-}
-
-std::uint8_t ChainState::shift_one(std::uint8_t in_bit,
-                                   const ScanOutModel& out) {
-  std::uint8_t obs = 0;
-  for (std::uint32_t t : out.taps) obs ^= bits_[t];
-  // One shift cycle: everything moves one step toward the tail.
-  for (std::size_t i = bits_.size(); i-- > 1;) bits_[i] = bits_[i - 1];
-  bits_[0] = in_bit & 1;
-  return obs;
-}
-
-void ChainState::capture(std::span<const std::uint8_t> next_state,
-                         CaptureMode mode) {
-  VCOMP_REQUIRE(next_state.size() == bits_.size(), "capture size mismatch");
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    const std::uint8_t v = next_state[i] & 1;
-    bits_[i] = (mode == CaptureMode::VXor) ? (bits_[i] ^ v) : v;
-  }
-}
-
 }  // namespace vcomp::scan

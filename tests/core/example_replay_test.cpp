@@ -51,7 +51,7 @@ class ExampleReplay : public ::testing::Test {
     return tracker_.sets().state(index_.at(name));
   }
   const Bits& hidden_bits(const std::string& name) const {
-    return tracker_.sets().hidden_state(index_.at(name)).chain(0).bits();
+    return tracker_.sets().hidden_state(index_.at(name)).bits();
   }
   std::size_t caught_cycle(const std::string& name) const {
     return tracker_.sets().catch_cycle(index_.at(name));
@@ -66,7 +66,7 @@ class ExampleReplay : public ::testing::Test {
 TEST_F(ExampleReplay, FullFourCycleScenario) {
   // ---- Cycle 1: full load of 110, response 111 --------------------------
   auto st1 = tracker_.apply_first(tv({1, 1, 0}));
-  EXPECT_EQ(tracker_.chain().bits(), (Bits{1, 1, 1}));
+  EXPECT_EQ(tracker_.state().bits(), (Bits{1, 1, 1}));
   // Seven faults differentiate (Table 1 cycle 1); none is caught yet —
   // catches happen at the next shift-out.
   EXPECT_EQ(st1.new_hidden, 7u);
@@ -82,7 +82,7 @@ TEST_F(ExampleReplay, FullFourCycleScenario) {
 
   // ---- Cycle 2: shift 00, vector 001, response 010 ----------------------
   auto st2 = tracker_.apply_stitched(tv({0, 0, 1}), 2);
-  EXPECT_EQ(tracker_.chain().bits(), (Bits{0, 1, 0}));
+  EXPECT_EQ(tracker_.state().bits(), (Bits{0, 1, 0}));
   // Six of the seven differ in the shifted-out tail and are caught; F/0's
   // difference sat in cell a (the retained bit) — it survives as the
   // paper's first hidden fault.
@@ -104,7 +104,7 @@ TEST_F(ExampleReplay, FullFourCycleScenario) {
 
   // ---- Cycle 3: shift 10, vector 100, response 000 ----------------------
   auto st3 = tracker_.apply_stitched(tv({1, 0, 0}), 2);
-  EXPECT_EQ(tracker_.chain().bits(), (Bits{0, 0, 0}));
+  EXPECT_EQ(tracker_.state().bits(), (Bits{0, 0, 0}));
   // Caught at this shift: D/1, c/0, D-c/1 (tail differences from cycle 2)
   // and F/0, whose mutated response 000 differed from 010 in cell b.
   for (const char* f : {"F/0", "D/1", "c/0", "D-c/1"}) {
@@ -123,7 +123,7 @@ TEST_F(ExampleReplay, FullFourCycleScenario) {
 
   // ---- Cycle 4: shift 01, vector 010, response 010 ----------------------
   auto st4 = tracker_.apply_stitched(tv({0, 1, 0}), 2);
-  EXPECT_EQ(tracker_.chain().bits(), (Bits{0, 1, 0}));
+  EXPECT_EQ(tracker_.state().bits(), (Bits{0, 1, 0}));
   // Everything pending from cycle 3 surfaces in this shift-out.
   for (const char* f : {"F/1", "D-F/1", "b-D/1", "b/1", "E/1", "E-b/1"}) {
     EXPECT_EQ(state(f), FaultState::Caught) << f;
@@ -157,7 +157,7 @@ TEST_F(ExampleReplay, VXorCaptureChangesChainAlgebra) {
                    scan::ScanOutModel::direct(3));
   vx.apply_first(tv({1, 1, 0}));
   // VXor capture: chain = T ⊕ R = 110 ⊕ 111 = 001.
-  EXPECT_EQ(vx.chain().bits(), (Bits{0, 0, 1}));
+  EXPECT_EQ(vx.state().bits(), (Bits{0, 0, 1}));
 }
 
 }  // namespace

@@ -5,17 +5,15 @@
 namespace vcomp::core {
 namespace {
 
-using scan::ChainState;
 using scan::FabricState;
+using Bits = std::vector<std::uint8_t>;
 
 /// Single-chain hidden state (the degenerate fabric).
-FabricState one_chain(std::vector<std::uint8_t> bits) {
-  return FabricState{std::vector<ChainState>{ChainState{std::move(bits)}}};
+FabricState one_chain(Bits bits) {
+  return FabricState{std::vector<Bits>{std::move(bits)}};
 }
 
-FabricState one_chain(std::size_t length) {
-  return FabricState{std::vector<ChainState>{ChainState{length}}};
-}
+FabricState one_chain(std::size_t length) { return one_chain(Bits(length, 0)); }
 
 TEST(FaultSets, InitialStateAllUncaught) {
   FaultSets fs(5);
@@ -30,20 +28,18 @@ TEST(FaultSets, HiddenCarriesFabricState) {
   FaultSets fs(3);
   fs.set_hidden(1, one_chain({1, 0, 1}));
   EXPECT_EQ(fs.state(1), FaultState::Hidden);
-  EXPECT_EQ(fs.hidden_state(1).chain(0).bits(),
-            (std::vector<std::uint8_t>{1, 0, 1}));
+  EXPECT_EQ(fs.hidden_state(1).bits(), (Bits{1, 0, 1}));
   EXPECT_EQ(fs.num_hidden(), 1u);
 }
 
 TEST(FaultSets, HiddenCarriesMultiChainFabric) {
   FaultSets fs(2);
-  fs.set_hidden(0, FabricState{std::vector<ChainState>{
-                       ChainState{std::vector<std::uint8_t>{1, 0}},
-                       ChainState{std::vector<std::uint8_t>{0, 1, 1}}}});
+  fs.set_hidden(0, FabricState{std::vector<Bits>{{1, 0}, {0, 1, 1}}});
   EXPECT_EQ(fs.hidden_state(0).num_chains(), 2u);
   EXPECT_EQ(fs.hidden_state(0).total_length(), 5u);
-  EXPECT_EQ(fs.hidden_state(0).chain(1).bits(),
-            (std::vector<std::uint8_t>{0, 1, 1}));
+  const scan::ChainView chain1 = fs.hidden_state(0).chain(1);
+  EXPECT_EQ(Bits(chain1.cells.begin(), chain1.cells.end()), (Bits{0, 1, 1}));
+  EXPECT_EQ(fs.hidden_state(0).bits(), (Bits{1, 0, 0, 1, 1}));
 }
 
 TEST(FaultSets, CaughtIsAbsorbing) {
@@ -87,8 +83,7 @@ TEST(FaultSets, HiddenStateUpdatable) {
   FaultSets fs(1);
   fs.set_hidden(0, one_chain({0, 0}));
   fs.mutable_hidden_state(0) = one_chain({1, 1});
-  EXPECT_EQ(fs.hidden_state(0).chain(0).bits(),
-            (std::vector<std::uint8_t>{1, 1}));
+  EXPECT_EQ(fs.hidden_state(0).bits(), (Bits{1, 1}));
 }
 
 TEST(FaultSets, CatchCycleRequiresCaught) {

@@ -209,6 +209,60 @@ TEST(ScheduleIo, RejectsGarbage) {
                vcomp::ContractError);  // PI width mismatch
 }
 
+// Every count goes through one digits-only parser: signs, letters and
+// values past 64 bits are errors, not silent zeros or wrap-arounds.
+TEST(ScheduleIo, RejectsNonDigitCounts) {
+  const std::string head = "chain 3\npis 1\nvector 3 1 101\n";
+  EXPECT_THROW(read_schedule_string(head + "observe abc\n"),
+               vcomp::ContractError);
+  EXPECT_THROW(read_schedule_string(head + "observe -2\n"),
+               vcomp::ContractError);
+  EXPECT_THROW(read_schedule_string("chain 3x\npis 1\nvector 3 1 101\n"),
+               vcomp::ContractError);
+  EXPECT_THROW(read_schedule_string("chain 3\npis +1\nvector 3 1 101\n"),
+               vcomp::ContractError);
+  EXPECT_THROW(read_schedule_string("chain 3\n"
+                                    "chains 2 round-robin -1\n"
+                                    "pis 0\n"
+                                    "vector 2,1 - 110\n"),
+               vcomp::ContractError);
+}
+
+TEST(ScheduleIo, RejectsCountOverflow) {
+  EXPECT_THROW(read_schedule_string("chain 3\npis 0\n"
+                                    "vector 18446744073709551616 - 110\n"),
+               vcomp::ContractError);
+  // 2^64 - 1 + 2 wraps to 1 if the plan sum is unchecked.
+  EXPECT_THROW(read_schedule_string("chain 3\n"
+                                    "chains 2 round-robin 0\n"
+                                    "pis 0\n"
+                                    "vector 18446744073709551615,2 - 110\n"),
+               vcomp::ContractError);
+}
+
+TEST(ScheduleIo, RejectsTrailingTokens) {
+  const std::string head = "chain 3\npis 1\nvector 3 1 101\n";
+  EXPECT_THROW(read_schedule_string(head + "observe 2 junk\n"),
+               vcomp::ContractError);
+  EXPECT_THROW(read_schedule_string("chain 3\npis 1\nvector 3 1 101 zz\n"),
+               vcomp::ContractError);
+  EXPECT_THROW(read_schedule_string(head + "extra 1 101 0\n"),
+               vcomp::ContractError);
+  EXPECT_THROW(read_schedule_string("chain 3 4\npis 1\nvector 3 1 101\n"),
+               vcomp::ContractError);
+  // The same schedule without the extra token parses.
+  EXPECT_EQ(read_schedule_string(head + "observe 2\n").terminal_observe, 2u);
+}
+
+TEST(ScheduleIo, RejectsObserveBeyondChain) {
+  const std::string head = "chain 3\npis 1\nvector 3 1 101\n";
+  EXPECT_THROW(read_schedule_string(head + "observe 99\n"),
+               vcomp::ContractError);
+  EXPECT_THROW(read_schedule_string(head + "observe 4\n"),
+               vcomp::ContractError);
+  EXPECT_EQ(read_schedule_string(head + "observe 3\n").terminal_observe, 3u);
+}
+
 TEST(ScheduleIo, EngineScheduleRoundTrips) {
   CircuitLab lab("fig1", netgen::example_circuit());
   StitchOptions opts;

@@ -59,7 +59,7 @@ WalkTrace run_walk(const char* name, std::size_t threads,
     v.ppi.resize(L);
     for (std::size_t p = 0; p < L; ++p) {
       v.ppi[p] = (s < L && p >= s)
-                     ? tracker.chain().at(p - s)
+                     ? tracker.state().at_flat(p - s)
                      : static_cast<std::uint8_t>(rng.bit());
     }
     return v;
@@ -78,9 +78,9 @@ WalkTrace run_walk(const char* name, std::size_t threads,
     if (tracker.sets().state(i) == FaultState::Caught)
       tr.catch_cycles.push_back(tracker.catch_cycle(i));
     if (tracker.sets().state(i) == FaultState::Hidden)
-      tr.hidden.push_back(tracker.sets().hidden_state(i).chain(0).bits());
+      tr.hidden.push_back(tracker.sets().hidden_state(i).bits());
   }
-  tr.chain = tracker.chain().bits();
+  tr.chain = tracker.state().bits();
   return tr;
 }
 

@@ -71,7 +71,7 @@ TEST_P(TrackerWalk, InvariantsHoldEveryCycle) {
     v.ppi.resize(L);
     for (std::size_t p = 0; p < L; ++p) {
       v.ppi[p] = (s < L && p >= s)
-                     ? tracker.chain().at(p - s)
+                     ? tracker.state().at_flat(p - s)
                      : static_cast<std::uint8_t>(rng.bit());
     }
     return v;

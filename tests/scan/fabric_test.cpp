@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "vcomp/check/reference.hpp"
 #include "vcomp/netgen/example_circuit.hpp"
 #include "vcomp/netgen/netgen.hpp"
 #include "vcomp/util/assert.hpp"
@@ -193,7 +194,7 @@ TEST(FabricOut, DirectAndHxorPerChain) {
 }
 
 // N=1 degeneracy: every FabricState operation must be bit-identical to the
-// single ChainState it wraps.
+// independent cell-by-cell reference chain.
 TEST(FabricState, SingleChainMatchesChainState) {
   auto nl = netgen::generate("s444");
   Fabric f(nl);
@@ -201,72 +202,58 @@ TEST(FabricState, SingleChainMatchesChainState) {
   Rng rng(11);
   for (int trial = 0; trial < 16; ++trial) {
     FabricState fs(f);
-    ChainState cs(L);
-    const Bits init = random_bits(rng, L);
-    fs.load(init);
-    cs.load(init);
+    Bits ref = random_bits(rng, L);
+    fs.load(ref);
 
     const std::size_t s = 1 + rng.below(L);
     const Bits in = random_bits(rng, s);
     const auto out = FabricOut::hxor(f, 3);
     const auto single = ScanOutModel::hxor(L, 3);
-    Bits obs_f, obs_c;
+    Bits obs_f, obs_ref;
     fs.shift(f.plan_for(s), in, out, obs_f);
-    cs.shift(in, single, obs_c);
-    EXPECT_EQ(obs_f, obs_c);
-    EXPECT_EQ(fs.chain(0), cs);
+    check::ref_shift(ref, in, single, obs_ref);
+    EXPECT_EQ(obs_f, obs_ref);
+    EXPECT_EQ(fs.bits(), ref);
 
     const Bits next = random_bits(rng, L);
     fs.capture(next, CaptureMode::VXor);
-    cs.capture(next, CaptureMode::VXor);
-    EXPECT_EQ(fs.chain(0), cs);
-
-    Bits flat;
-    fs.flat_bits(flat);
-    EXPECT_EQ(flat, cs.bits());
+    check::ref_capture(ref, next, CaptureMode::VXor);
+    EXPECT_EQ(fs.bits(), ref);
+    EXPECT_EQ(fs.chain(0).length(), L);
     for (std::size_t p = 0; p < L; ++p) {
-      EXPECT_EQ(fs.at_flat(p), cs.at(p));
+      EXPECT_EQ(fs.at_flat(p), ref[p]);
+      EXPECT_EQ(fs.chain(0).at(p), ref[p]);
     }
   }
 }
 
-// Chains are independent machines: shifting/capturing the fabric must act
-// on each chain exactly as the equivalent standalone ChainState.
+// Chains are independent machines: shifting the fabric must act on each
+// chain exactly as the independent per-chain reference shift.
 TEST(FabricState, ChainsShiftIndependently) {
   auto nl = netgen::generate("s526");
   Rng rng(23);
   for (auto policy : {PartitionPolicy::RoundRobin, PartitionPolicy::SeededRandom}) {
     Fabric f(nl, 4, policy, 17);
     FabricState fs(f);
-    const Bits init = random_bits(rng, f.total_length());
-    fs.load(init);
-
-    std::vector<ChainState> solo;
-    for (std::size_t c = 0; c < 4; ++c) {
-      solo.emplace_back(f.chain_length(c));
-      solo[c].load(std::span<const std::uint8_t>(init).subspan(
-          f.chain_offset(c), f.chain_length(c)));
-    }
+    Bits ref = random_bits(rng, f.total_length());
+    fs.load(ref);
 
     const std::size_t s = 1 + rng.below(f.total_length());
     const ShiftPlan plan = f.plan_for(s);
     const Bits in = random_bits(rng, s);
     const auto out = FabricOut::hxor(f, 2);
-    Bits obs;
+    Bits obs, expect_obs;
     fs.shift(plan, in, out, obs);
-
-    std::size_t off = 0;
-    Bits expect_obs;
-    for (std::size_t c = 0; c < 4; ++c) {
-      Bits chain_in(in.begin() + static_cast<std::ptrdiff_t>(off),
-                    in.begin() + static_cast<std::ptrdiff_t>(off + plan[c]));
-      Bits chain_obs;
-      solo[c].shift(chain_in, out.chains[c], chain_obs);
-      expect_obs.insert(expect_obs.end(), chain_obs.begin(), chain_obs.end());
-      EXPECT_EQ(fs.chain(c), solo[c]) << "chain " << c;
-      off += plan[c];
-    }
+    check::ref_fabric_shift(f, ref, plan, in, out, expect_obs);
     EXPECT_EQ(obs, expect_obs);
+    EXPECT_EQ(fs.bits(), ref);
+    for (std::size_t c = 0; c < 4; ++c) {
+      const ChainView chain = fs.chain(c);
+      ASSERT_EQ(chain.length(), f.chain_length(c));
+      for (std::size_t p = 0; p < chain.length(); ++p)
+        EXPECT_EQ(chain.at(p), ref[f.chain_offset(c) + p])
+            << "chain " << c << " position " << p;
+    }
   }
 }
 

@@ -12,7 +12,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "vcomp/scan/scan_chain.hpp"
+#include "vcomp/check/reference.hpp"
+#include "vcomp/scan/fabric.hpp"
 #include "vcomp/util/rng.hpp"
 
 namespace vcomp::scan {
@@ -20,13 +21,20 @@ namespace {
 
 using Bits = std::vector<std::uint8_t>;
 
-/// The definition of observability, computed the slow way.
+/// The plain scan chain is the one-chain FabricState.
+FabricState one_chain(Bits bits) {
+  return FabricState{std::vector<Bits>{std::move(bits)}};
+}
+
+/// The definition of observability, computed the slow way by the
+/// cell-by-cell reference shift.
 bool brute_force_observable(const Bits& diff, std::size_t s,
                             const ScanOutModel& out) {
-  ChainState good(Bits(diff.size(), 0));
-  ChainState bad(diff);
+  Bits good(diff.size(), 0), bad = diff, obs_good, obs_bad;
   const Bits in(s, 0);  // shifted-in bits carry no difference
-  return good.shift(in, out) != bad.shift(in, out);
+  check::ref_shift(good, in, out, obs_good);
+  check::ref_shift(bad, in, out, obs_bad);
+  return obs_good != obs_bad;
 }
 
 TEST(ObserveXor, DiffObservableMatchesBruteForceExhaustively) {
@@ -68,20 +76,20 @@ TEST(ObserveXor, DiffObservableMatchesBruteForceRandomized) {
 }
 
 TEST(ObserveXor, HxorObservationIsTapParityEachCycle) {
-  // Both shift() overloads must report, per cycle, the XOR of the cells
-  // currently under the taps.
+  // The shift must report, per cycle, the XOR of the cells currently
+  // under the taps, exactly as the cell-by-cell reference does.
   const std::size_t L = 6;
   const auto m = ScanOutModel::hxor(L, 3);  // taps {1, 3, 5}
-  ChainState st(Bits{1, 0, 1, 1, 0, 0});
+  FabricState st = one_chain(Bits{1, 0, 1, 1, 0, 0});
   // Cycle 1 parity: c1 ^ c3 ^ c5 = 0 ^ 1 ^ 0 = 1.  After the slide
   // (head in 0): {0,1,0,1,1,0} -> parity 1 ^ 1 ^ 0 = 0.
-  ChainState copy = st;
+  Bits ref = st.bits(), observed, ref_observed;
   const Bits in{0, 0};
-  EXPECT_EQ(st.shift(in, m), (Bits{1, 0}));
-  Bits observed;
-  copy.shift(in, m, observed);
+  st.shift({2}, in, FabricOut{{m}}, observed);
   EXPECT_EQ(observed, (Bits{1, 0}));
-  EXPECT_EQ(st, copy);
+  check::ref_shift(ref, in, m, ref_observed);
+  EXPECT_EQ(ref_observed, (Bits{1, 0}));
+  EXPECT_EQ(st.bits(), ref);
 }
 
 TEST(ObserveXor, HxorMidChainDiffSlidesUnderATap) {
@@ -106,15 +114,15 @@ TEST(ObserveXor, VXorCaptureCancelsMatchingChainDiff) {
   // the fault becomes unobservable afterwards — the VXor aliasing case.
   const Bits next_good{1, 0, 1};
   const Bits next_bad{1, 1, 1};  // next-state differs at position 1
-  ChainState good(Bits{0, 0, 0});
-  ChainState bad(Bits{0, 1, 0});  // chain already differs at position 1
+  FabricState good = one_chain(Bits{0, 0, 0});
+  FabricState bad = one_chain(Bits{0, 1, 0});  // differs at position 1
   good.capture(next_good, CaptureMode::VXor);
   bad.capture(next_bad, CaptureMode::VXor);
   EXPECT_EQ(good, bad);  // 1⊕0 == 1⊕1⊕... both cells end up equal
 
   // Under Normal capture the same pair stays distinguishable.
-  ChainState good_n(Bits{0, 0, 0});
-  ChainState bad_n(Bits{0, 1, 0});
+  FabricState good_n = one_chain(Bits{0, 0, 0});
+  FabricState bad_n = one_chain(Bits{0, 1, 0});
   good_n.capture(next_good, CaptureMode::Normal);
   bad_n.capture(next_bad, CaptureMode::Normal);
   EXPECT_NE(good_n, bad_n);
@@ -124,15 +132,15 @@ TEST(ObserveXor, VXorCapturePreservesChainDiffWhenNextStatesAgree) {
   // The converse path: identical next-states XORed on top of a chain
   // diff keep the diff alive (Normal capture would erase it).
   const Bits next{1, 1, 0};
-  ChainState good(Bits{0, 0, 0});
-  ChainState bad(Bits{0, 1, 0});
+  FabricState good = one_chain(Bits{0, 0, 0});
+  FabricState bad = one_chain(Bits{0, 1, 0});
   good.capture(next, CaptureMode::VXor);
   bad.capture(next, CaptureMode::VXor);
   EXPECT_NE(good, bad);
   EXPECT_TRUE(diff_observable(Bits{0, 1, 0}, 3, ScanOutModel::direct(3)));
 
-  ChainState good_n(Bits{0, 0, 0});
-  ChainState bad_n(Bits{0, 1, 0});
+  FabricState good_n = one_chain(Bits{0, 0, 0});
+  FabricState bad_n = one_chain(Bits{0, 1, 0});
   good_n.capture(next, CaptureMode::Normal);
   bad_n.capture(next, CaptureMode::Normal);
   EXPECT_EQ(good_n, bad_n);  // overwrite destroys the evidence
@@ -145,7 +153,7 @@ TEST(ObserveXor, VXorDoubleCaptureRoundTrips) {
   Bits content(16), next(16);
   for (auto& b : content) b = rng.bit();
   for (auto& b : next) b = rng.bit();
-  ChainState st(content);
+  FabricState st = one_chain(content);
   st.capture(next, CaptureMode::VXor);
   st.capture(next, CaptureMode::VXor);
   EXPECT_EQ(st.bits(), content);

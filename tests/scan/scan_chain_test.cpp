@@ -13,6 +13,19 @@ namespace {
 
 using Bits = std::vector<std::uint8_t>;
 
+// The plain scan chain is the one-chain FabricState.
+FabricState one_chain(Bits bits) {
+  return FabricState{std::vector<Bits>{std::move(bits)}};
+}
+
+// Shifts in.size() bits into the one chain of \p st; returns the
+// observations, one per cycle.
+Bits shift(FabricState& st, const Bits& in, const ScanOutModel& out) {
+  Bits observed;
+  st.shift({in.size()}, in, FabricOut{{out}}, observed);
+  return observed;
+}
+
 // A one-chain Fabric is the plain scan chain: identity order by default.
 TEST(ScanChain, IdentityOrder) {
   auto nl = netgen::example_circuit();
@@ -37,23 +50,23 @@ TEST(ScanChain, CustomOrderValidated) {
 // The paper's stitching example: state 111 (a,b,c), shift in "00"; the
 // retained bit from cell a must land in cell c and the new bits fill a, b.
 TEST(ChainState, PaperShiftSemantics) {
-  ChainState st{Bits{1, 1, 1}};
-  const auto out = st.shift(Bits{0, 0}, ScanOutModel::direct(3));
+  FabricState st = one_chain(Bits{1, 1, 1});
+  const auto out = shift(st, Bits{0, 0}, ScanOutModel::direct(3));
   EXPECT_EQ(st.bits(), (Bits{0, 0, 1}));  // second test vector 001
   // Observed: tail first — c then b.
   EXPECT_EQ(out, (Bits{1, 1}));
 }
 
 TEST(ChainState, FullShiftReplacesEverything) {
-  ChainState st{Bits{1, 0, 1}};
-  const auto out = st.shift(Bits{0, 1, 1}, ScanOutModel::direct(3));
+  FabricState st = one_chain(Bits{1, 0, 1});
+  const auto out = shift(st, Bits{0, 1, 1}, ScanOutModel::direct(3));
   EXPECT_EQ(out, (Bits{1, 0, 1}));  // old contents, tail first
   EXPECT_EQ(st.bits(), (Bits{1, 1, 0}));  // in[2] at head, in[0] at tail
 }
 
 TEST(ChainState, ZeroShiftIsNoop) {
-  ChainState st{Bits{1, 0, 1}};
-  const auto out = st.shift(Bits{}, ScanOutModel::direct(3));
+  FabricState st = one_chain(Bits{1, 0, 1});
+  const auto out = shift(st, Bits{}, ScanOutModel::direct(3));
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(st.bits(), (Bits{1, 0, 1}));
 }
@@ -67,14 +80,14 @@ TEST(ChainState, ShiftComposition) {
     Bits in(7);
     for (auto& b : in) b = rng.bit();
 
-    ChainState once{init};
-    auto obs_once = once.shift(in, ScanOutModel::direct(11));
+    FabricState once = one_chain(init);
+    auto obs_once = shift(once, in, ScanOutModel::direct(11));
 
-    ChainState twice{init};
+    FabricState twice = one_chain(init);
     Bits first(in.begin(), in.begin() + 3);
     Bits second(in.begin() + 3, in.end());
-    auto obs_a = twice.shift(first, ScanOutModel::direct(11));
-    auto obs_b = twice.shift(second, ScanOutModel::direct(11));
+    auto obs_a = shift(twice, first, ScanOutModel::direct(11));
+    auto obs_b = shift(twice, second, ScanOutModel::direct(11));
     obs_a.insert(obs_a.end(), obs_b.begin(), obs_b.end());
 
     EXPECT_EQ(once.bits(), twice.bits());
@@ -83,14 +96,14 @@ TEST(ChainState, ShiftComposition) {
 }
 
 TEST(ChainState, CaptureNormalOverwrites) {
-  ChainState st{Bits{1, 1, 0}};
+  FabricState st = one_chain(Bits{1, 1, 0});
   st.capture(Bits{0, 1, 1}, CaptureMode::Normal);
   EXPECT_EQ(st.bits(), (Bits{0, 1, 1}));
 }
 
 TEST(ChainState, CaptureVXorAccumulates) {
   // Figure 3: cell <- response XOR current content.
-  ChainState st{Bits{1, 1, 0}};
+  FabricState st = one_chain(Bits{1, 1, 0});
   st.capture(Bits{0, 1, 1}, CaptureMode::VXor);
   EXPECT_EQ(st.bits(), (Bits{1, 0, 1}));
 }
@@ -112,8 +125,8 @@ TEST(ScanOutModel, HxorObservationMatchesFigure4) {
   for (int trial = 0; trial < 32; ++trial) {
     Bits cells(6);
     for (auto& b : cells) b = rng.bit();
-    ChainState st{cells};
-    const auto out = st.shift(Bits{0, 0}, ScanOutModel::hxor(6, 3));
+    FabricState st = one_chain(cells);
+    const auto out = shift(st, Bits{0, 0}, ScanOutModel::hxor(6, 3));
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0], cells[1] ^ cells[3] ^ cells[5]);
     EXPECT_EQ(out[1], cells[0] ^ cells[2] ^ cells[4]);
@@ -121,15 +134,15 @@ TEST(ScanOutModel, HxorObservationMatchesFigure4) {
 }
 
 TEST(ChainState, ShiftTooLongRejected) {
-  ChainState st{Bits{1, 0}};
-  EXPECT_THROW(st.shift(Bits{1, 0, 1}, ScanOutModel::direct(2)),
+  FabricState st = one_chain(Bits{1, 0});
+  EXPECT_THROW(shift(st, Bits{1, 0, 1}, ScanOutModel::direct(2)),
                vcomp::ContractError);
 }
 
 TEST(ChainState, ValueSemantics) {
-  ChainState a{Bits{1, 0, 1}};
-  ChainState b = a;
-  b.shift(Bits{0}, ScanOutModel::direct(3));
+  FabricState a = one_chain(Bits{1, 0, 1});
+  FabricState b = a;
+  shift(b, Bits{0}, ScanOutModel::direct(3));
   EXPECT_NE(a, b);
   EXPECT_EQ(a.bits(), (Bits{1, 0, 1}));
 }

@@ -33,15 +33,16 @@ class CheckBenchTest(unittest.TestCase):
         self.tmp = tempfile.TemporaryDirectory()
         self.addCleanup(self.tmp.cleanup)
 
-    def write(self, name, rows):
+    def write(self, name, rows, threads=1):
         path = os.path.join(self.tmp.name, name)
         with open(path, "w") as f:
-            json.dump({"bench": "table2", "configs": rows}, f)
+            json.dump({"bench": "table2", "threads": threads,
+                       "configs": rows}, f)
         return path
 
-    def check(self, base_rows, fresh_rows, baseline=None):
+    def check(self, base_rows, fresh_rows, baseline=None, fresh_threads=1):
         base = baseline or self.write("base.json", base_rows)
-        fresh = self.write("fresh.json", fresh_rows)
+        fresh = self.write("fresh.json", fresh_rows, threads=fresh_threads)
         return subprocess.run(
             [sys.executable, CHECK_BENCH, "--fresh", fresh, "--baseline",
              base, "--strict"],
@@ -76,6 +77,22 @@ class CheckBenchTest(unittest.TestCase):
         out = self.check([row()], [row(seconds=0.6)])  # +20% of ±25%
         self.assertEqual(out.returncode, 0, out.stdout)
         self.assertIn("no regressions beyond tolerance", out.stdout)
+
+    def test_timings_at_other_thread_count_are_skipped(self):
+        out = self.check([row()], [row(seconds=3.0)], fresh_threads=4)
+        self.assertEqual(out.returncode, 0, out.stdout)
+        self.assertIn("fresh run used 4 threads vs baseline 1", out.stdout)
+        self.assertIn("no regressions beyond tolerance", out.stdout)
+
+    def test_counter_mismatch_at_other_thread_count_is_flagged(self):
+        out = self.check(
+            [row()],
+            [row(seconds=3.0,
+                 counters={"podem.calls": 101, "tracker.cycles": 198})],
+            fresh_threads=4)
+        self.assertEqual(out.returncode, 1, out.stdout)
+        self.assertIn("counters.podem.calls: 101 vs baseline 100", out.stdout)
+        self.assertNotIn("seconds", out.stdout)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,10 @@ outright.
 Per-row "counters" objects (the obs work counters embedded by the bench
 binaries) and the paper's headline fields (m, t, tv, ex) are exempt from
 the tolerance: they are deterministic by contract, so any mismatch at all
-is flagged.  Timings and rates keep the ±tolerance treatment.
+is flagged.  Timings and rates keep the ±tolerance treatment, but only
+when both documents ran at the same "threads" count: at another thread
+count the table benches run configs concurrently, so their seconds and
+rates measure a different thing and are skipped (with a note).
 
 Intended as a *soft* gate: CI shared runners are noisy, so regressions are
 emitted as GitHub warning annotations and the exit code stays 0 unless
@@ -94,6 +97,13 @@ def main():
               f"(quick mode?)")
 
     tol = args.tolerance
+    fresh_threads = fresh_doc.get("threads")
+    base_threads = base_doc.get("threads")
+    compare_timings = (fresh_threads is None or base_threads is None
+                       or fresh_threads == base_threads)
+    if not compare_timings:
+        print(f"note: fresh run used {fresh_threads} threads vs baseline "
+              f"{base_threads}; time and {RATE_SUFFIX} fields not compared")
     regressions = []
     for key in shared:
         frow, brow = fresh[key], base[key]
@@ -111,23 +121,25 @@ def main():
                 regressions.append(
                     f"{label} {field}: {frow.get(field)} vs baseline "
                     f"{brow[field]} (exact match required)")
-        for field, bval in brow.items():
-            if not isinstance(bval, (int, float)) or isinstance(bval, bool):
-                continue
-            fval = frow.get(field)
-            if not isinstance(fval, (int, float)) or bval == 0:
-                continue
-            ratio = fval / bval
-            if field in TIME_FIELDS and bval < MIN_GATED_SECONDS:
-                continue
-            if field in TIME_FIELDS and ratio > 1 + tol:
-                regressions.append(
-                    f"{label} {field}: {fval:.4g}s vs baseline "
-                    f"{bval:.4g}s (+{(ratio - 1) * 100:.0f}%)")
-            elif field.endswith(RATE_SUFFIX) and ratio < 1 - tol:
-                regressions.append(
-                    f"{label} {field}: {fval:.4g} vs baseline "
-                    f"{bval:.4g} (-{(1 - ratio) * 100:.0f}%)")
+        if compare_timings:
+            for field, bval in brow.items():
+                if not isinstance(bval, (int, float)) \
+                        or isinstance(bval, bool):
+                    continue
+                fval = frow.get(field)
+                if not isinstance(fval, (int, float)) or bval == 0:
+                    continue
+                ratio = fval / bval
+                if field in TIME_FIELDS and bval < MIN_GATED_SECONDS:
+                    continue
+                if field in TIME_FIELDS and ratio > 1 + tol:
+                    regressions.append(
+                        f"{label} {field}: {fval:.4g}s vs baseline "
+                        f"{bval:.4g}s (+{(ratio - 1) * 100:.0f}%)")
+                elif field.endswith(RATE_SUFFIX) and ratio < 1 - tol:
+                    regressions.append(
+                        f"{label} {field}: {fval:.4g} vs baseline "
+                        f"{bval:.4g} (-{(1 - ratio) * 100:.0f}%)")
         # The serve bench's canonical result row is a determinism
         # artifact, not a timing: byte-identical across machines, thread
         # counts, concurrency and arrival order, so it is compared
