@@ -16,6 +16,16 @@
 /// fault's output cone — the structures that make PODEM practical on
 /// multi-thousand-gate circuits.
 ///
+/// Setup is shared across calls.  Before any decision the good machine
+/// depends only on the pins (PIs are X, pinned PPIs hold their values), so
+/// the engine keeps the good-machine values of the last pin set it saw and
+/// re-implies them only when a call brings a different
+/// PpiConstraints::fixed (empty when all free).  Each call then starts the
+/// faulty machine as a copy of the good one and re-evaluates only the
+/// fault's output cone, in level order: outside the cone the faulty value
+/// equals the good value by construction.  Reusing one engine across pin
+/// sets gives the same results as a fresh engine per call.
+///
 /// A Success result carries a test cube whose unassigned positions are X;
 /// five-valued implication guarantees every completion of the cube detects
 /// the target fault at some primary output or capture point.  Untestable
@@ -89,9 +99,10 @@ class Podem {
 
   void compute_cone(const fault::Fault& f);
   void load_assignments();
-  void full_imply(const fault::Fault& f);
-  void eval_pair(netlist::GateId u, const fault::Fault& f, sim::Trit& good,
-                 sim::Trit& bad);
+  void imply_good();
+  void imply_cone(const fault::Fault& f);
+  sim::Trit eval_good(netlist::GateId u) const;
+  sim::Trit eval_bad(netlist::GateId u, const fault::Fault& f) const;
   void assign_source(netlist::GateId src, sim::Trit v, const fault::Fault& f);
   void undo_to(std::size_t mark);
 
@@ -113,8 +124,15 @@ class Podem {
   std::vector<Decision> stack_;
   std::vector<TrailEntry> trail_;
 
+  // Good machine before any decision, for the pin set good_key_ (the
+  // PpiConstraints::fixed it was implied from; empty = all free).
+  std::vector<sim::Trit> root_good_;
+  std::vector<sim::Trit> good_key_;
+  bool root_good_valid_ = false;
+
   std::vector<std::uint8_t> is_obs_;    // gate drives a PO or a DFF data pin
   std::vector<netlist::GateId> cone_;       // comb gates in the fault cone
+  std::vector<netlist::GateId> cone_by_level_;  // cone_ in level order
   std::vector<netlist::GateId> cone_obs_;   // observation gates in the cone
   std::vector<std::uint8_t> in_cone_;
 

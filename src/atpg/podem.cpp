@@ -118,6 +118,15 @@ void Podem::compute_cone(const Fault& f) {
     work.pop_back();
     for (GateId s : eg_->fanout(u)) push(s);
   }
+
+  // Level order for the faulty-machine pass, bucketed by level.  cone_
+  // keeps its own order: objective() breaks SCOAP ties by it.
+  cone_by_level_.clear();
+  for (GateId g : cone_) buckets_[eg_->level(g)].push_back(g);
+  for (auto& bucket : buckets_) {
+    cone_by_level_.insert(cone_by_level_.end(), bucket.begin(), bucket.end());
+    bucket.clear();
+  }
 }
 
 void Podem::load_assignments() {
@@ -130,38 +139,50 @@ void Podem::load_assignments() {
   }
 }
 
-void Podem::eval_pair(GateId u, const Fault& f, Trit& good, Trit& bad) {
+Trit Podem::eval_good(GateId u) const {
   const auto fin = eg_->fanin(u);
-  const GateType type = eg_->type(u);
-  good = sim::trit_eval_fused(type, fin.size(),
+  return sim::trit_eval_fused(eg_->type(u), fin.size(),
                               [&](std::size_t k) { return good_[fin[k]]; });
-  if (f.is_stem() && f.gate == u) {
-    bad = stuck_trit(f);
-    return;
-  }
+}
+
+Trit Podem::eval_bad(GateId u, const Fault& f) const {
+  if (f.is_stem() && f.gate == u) return stuck_trit(f);
+  const auto fin = eg_->fanin(u);
   const std::size_t forced_pin =
       (!f.is_stem() && f.gate == u) ? static_cast<std::size_t>(f.pin)
                                     : fin.size();
-  bad = sim::trit_eval_fused(type, fin.size(), [&](std::size_t k) {
+  return sim::trit_eval_fused(eg_->type(u), fin.size(), [&](std::size_t k) {
     return k == forced_pin ? stuck_trit(f) : bad_[fin[k]];
   });
 }
 
-void Podem::full_imply(const Fault& f) {
-  const Trit sv = stuck_trit(f);
-  for (GateId g : nl_->inputs()) {
-    good_[g] = assign_[g];
-    bad_[g] = assign_[g];
+// Before any decision the good machine depends only on the pins, so it is
+// re-implied only when the pin set differs from the previous call's.
+void Podem::imply_good() {
+  static const std::vector<Trit> kAllFree;
+  const std::vector<Trit>& key =
+      constraints_ != nullptr ? constraints_->fixed : kAllFree;
+  if (root_good_valid_ && key == good_key_) {
+    good_ = root_good_;
+    return;
   }
-  for (GateId g : nl_->dffs()) {
-    good_[g] = assign_[g];
-    bad_[g] = assign_[g];
-  }
+  for (GateId g : nl_->inputs()) good_[g] = assign_[g];
+  for (GateId g : nl_->dffs()) good_[g] = assign_[g];
+  for (GateId u : eg_->schedule()) good_[u] = eval_good(u);
+  root_good_ = good_;
+  good_key_ = key;
+  root_good_valid_ = true;
+}
+
+// Outside the fault's cone the faulty machine equals the good one.
+void Podem::imply_cone(const Fault& f) {
+  bad_ = good_;
   if (f.is_stem()) {
     const auto t = eg_->type(f.gate);
-    if (t == GateType::Input || t == GateType::Dff) bad_[f.gate] = sv;
+    if (t == GateType::Input || t == GateType::Dff)
+      bad_[f.gate] = stuck_trit(f);
   }
-  for (GateId u : eg_->schedule()) eval_pair(u, f, good_[u], bad_[u]);
+  for (GateId u : cone_by_level_) bad_[u] = eval_bad(u, f);
 }
 
 void Podem::assign_source(GateId src, Trit v, const Fault& f) {
@@ -187,8 +208,8 @@ void Podem::assign_source(GateId src, Trit v, const Fault& f) {
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       const GateId u = bucket[i];
       queued_[u] = 0;
-      Trit ng, nb;
-      eval_pair(u, f, ng, nb);
+      const Trit ng = eval_good(u);
+      const Trit nb = eval_bad(u, f);
       if (ng == good_[u] && nb == bad_[u]) continue;
       trail_.push_back({u, good_[u], bad_[u]});
       good_[u] = ng;
@@ -431,7 +452,8 @@ PodemResult Podem::generate(const Fault& f, const PpiConstraints* constraints,
   constraints_ = constraints;
   compute_cone(f);
   load_assignments();
-  full_imply(f);
+  imply_good();
+  imply_cone(f);
   trail_.clear();
   imply_events_ = 0;
 

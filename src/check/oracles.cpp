@@ -765,6 +765,15 @@ std::optional<Failure> check_atpg(const Case& c, std::uint64_t seed,
       const Fault& f = c.faults[fi];
       const auto rp = podem->generate(f, &cons);
       const auto rs = sat->generate(f, &cons);
+      // The reused engine keeps the good machine of the last pin set it
+      // saw; a fresh engine must give the same answer.
+      const auto rf = atpg::make_engine(atpg::EngineKind::Podem, graph, scoap)
+                          ->generate(f, &cons);
+      if (rf.status != rp.status || rf.backtracks != rp.backtracks ||
+          rf.cube.pi != rp.cube.pi || rf.cube.ppi != rp.cube.ppi)
+        return fail("atpg", "reused podem engine differs from a fresh one "
+                            "for " +
+                                fault::fault_name(nl, f));
       if (rp.status == atpg::PodemStatus::Success)
         if (auto err = atpg_cube_error(nl, f, rp.cube, cons, rng))
           return fail("atpg",

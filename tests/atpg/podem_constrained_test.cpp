@@ -15,6 +15,7 @@
 #include "vcomp/fault/collapse.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/netgen/netgen.hpp"
+#include "vcomp/obs/metrics.hpp"
 #include "vcomp/util/rng.hpp"
 
 namespace vcomp::atpg {
@@ -144,6 +145,75 @@ TEST(ConstrainedPodemEdge, EmptyConstraintEqualsUnconstrained) {
     const auto b = podem.generate(cf[i], &all_free);
     EXPECT_EQ(a.status, b.status) << fault_name(nl, cf[i]);
   }
+}
+
+// A reused engine keeps the good machine of the last pin set it saw.  Feed
+// one engine a query stream whose pin set changes, repeats and drops to
+// null, and check every answer and every podem.* counter against a fresh
+// engine per query.
+TEST(Podem, ReusedEngineMatchesFreshEngine) {
+  auto nl = netgen::generate("s526");
+  auto graph = sim::EvalGraph::compile(nl);
+  tmeas::Scoap scoap(nl);
+  Rng rng(0x517);
+
+  const std::size_t L = nl.num_dffs();
+  auto pin_tail = [&](std::size_t s) {
+    PpiConstraints cons;
+    cons.fixed.assign(L, Trit::X);
+    for (std::size_t p = s; p < L; ++p)
+      cons.fixed[p] = rng.bit() ? Trit::One : Trit::Zero;
+    return cons;
+  };
+  const PpiConstraints a = pin_tail(L / 3);
+  const PpiConstraints b = pin_tail(L / 2);
+  PpiConstraints all_x;
+  all_x.fixed.assign(L, Trit::X);
+  const std::vector<const PpiConstraints*> stream = {&a, &a, &b,
+                                                     nullptr, &a, &all_x};
+
+  // A PPI stem, a PI stem and a DFF-pin branch fault (netgen circuits give
+  // no DFF driver a second fanout, so the pin fault is built directly),
+  // then collapsed faults.
+  std::vector<fault::Fault> faults;
+  faults.push_back({nl.dffs()[L / 2], -1, 1});
+  faults.push_back({nl.inputs()[0], -1, 0});
+  faults.push_back({nl.dffs()[L - 1], 0, 1});
+  const auto cf = fault::collapsed_fault_list(nl);
+  for (int i = 0; i < 12; ++i) faults.push_back(cf[rng.below(cf.size())]);
+
+  auto podem_counters = [](const obs::CounterSet& all) {
+    obs::CounterSet only;
+    for (const auto& kv : all.values)
+      if (kv.first.starts_with("podem.")) only.values.push_back(kv);
+    return only;
+  };
+
+  Podem reused(graph, scoap);
+  std::size_t success = 0, untestable = 0;
+  for (std::size_t q = 0; q < stream.size(); ++q) {
+    for (const auto& f : faults) {
+      PodemResult got, want;
+      const auto got_counters = podem_counters(
+          obs::scoped_counters([&] { got = reused.generate(f, stream[q]); }));
+      Podem fresh(graph, scoap);
+      const auto want_counters = podem_counters(
+          obs::scoped_counters([&] { want = fresh.generate(f, stream[q]); }));
+
+      const std::string where =
+          "query " + std::to_string(q) + " " + fault_name(nl, f);
+      ASSERT_EQ(got.status, want.status) << where;
+      ASSERT_EQ(got.backtracks, want.backtracks) << where;
+      ASSERT_EQ(got.cube.pi, want.cube.pi) << where;
+      ASSERT_EQ(got.cube.ppi, want.cube.ppi) << where;
+      ASSERT_EQ(got_counters.digest(), want_counters.digest()) << where;
+      success += got.status == PodemStatus::Success;
+      untestable += got.status == PodemStatus::Untestable;
+    }
+  }
+  // The stream must exercise both verdicts to say anything.
+  EXPECT_GT(success, 0u);
+  EXPECT_GT(untestable, 0u);
 }
 
 }  // namespace
