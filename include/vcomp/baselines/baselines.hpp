@@ -9,7 +9,9 @@
 /// set — and report costs with the same meters, so `bench_baselines` can
 /// print one apples-to-apples table.
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "vcomp/atpg/test_set.hpp"
 #include "vcomp/fault/collapse.hpp"
@@ -32,5 +34,15 @@ struct BaselineResult {
 
 /// Computes ratios given an accumulated cost (shared helper).
 void finalize_ratios(BaselineResult& r);
+
+/// Serial phase shared by the compressed-mode schemes: covers the faults
+/// flagged in \p remaining with aTV vectors (fault dropping in pool order,
+/// atpg::first_detections), charges each kept vector at full-shift cost,
+/// sets full_vectors and uncovered, and finalizes the ratios.
+void finish_serial(const netlist::Netlist& nl,
+                   const fault::CollapsedFaults& faults,
+                   const atpg::TestSetResult& baseline,
+                   const std::vector<std::uint8_t>& remaining,
+                   fault::DiffSimShards& sims, BaselineResult& res);
 
 }  // namespace vcomp::baselines

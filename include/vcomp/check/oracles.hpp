@@ -89,7 +89,9 @@ std::optional<Failure> check_atpg(const Case& c, std::uint64_t seed,
 /// ref_word_eval / ref_faulty_eval pass per (vector, fault) pair.  The
 /// vector pool is the case's schedule (full load, stitched vectors, extra
 /// full vectors) plus \p rounds random vectors drawn from \p seed; every
-/// tracked fault's count must match exactly.
+/// tracked fault's count must match exactly.  The same pass records each
+/// fault's first detecting vector, which must equal atpg::first_detections
+/// (the 64-vectors-per-pass fault-dropping routine) over the same pool.
 std::optional<Failure> check_adi(const Case& c, std::uint64_t seed,
                                  std::size_t rounds);
 

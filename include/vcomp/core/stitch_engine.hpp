@@ -206,18 +206,13 @@ class StitchEngine {
   StitchResult run();
 
  private:
-  struct Candidate {
-    atpg::TestVector vector;
-    std::size_t target = 0;
-  };
-
   std::unique_ptr<ShiftPolicy> make_policy() const;
   atpg::PpiConstraints constraints_for(const scan::FabricState& state,
                                        const scan::ShiftPlan& plan) const;
-  std::optional<Candidate> generate(const FaultSets& sets,
-                                    const scan::FabricState& state,
-                                    const scan::ShiftPlan& plan,
-                                    bool first_vector);
+  std::optional<atpg::TestVector> generate(const FaultSets& sets,
+                                           const scan::FabricState& state,
+                                           const scan::ShiftPlan& plan,
+                                           bool first_vector);
 
   const netlist::Netlist* nl_;
   const fault::CollapsedFaults* faults_;
@@ -236,11 +231,9 @@ class StitchEngine {
 
   // Per-cycle scratch reused across generate() calls (hot path: one call
   // per stitched cycle; these would otherwise allocate every cycle).
-  std::vector<sim::Word> pi_w_, ppi_w_;           // candidate stimulus words
   std::vector<std::uint8_t> observed_pos_;        // flat-position visibility
   std::vector<std::size_t> scored_;               // sampled uncaught faults
   std::vector<std::vector<std::uint32_t>> shard_scores_;
-  std::vector<std::uint8_t> drop_hit_;            // ex-phase verdict buffer
 
   // Accumulated engine-side phase timings (the tracker holds its own).
   double podem_seconds_ = 0;

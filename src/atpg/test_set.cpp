@@ -1,7 +1,6 @@
 #include "vcomp/atpg/test_set.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "vcomp/fault/fault_sim.hpp"
@@ -29,6 +28,56 @@ void load_vector(DiffSim& sim, const TestVector& v) {
     sim.good().set_input(i, v.pi[i] ? ~Word{0} : Word{0});
   for (std::size_t i = 0; i < nl.num_dffs(); ++i)
     sim.good().set_state(i, v.ppi[i] ? ~Word{0} : Word{0});
+}
+
+Word load_lanes(DiffSim& sim, std::span<const TestVector> vectors,
+                std::size_t base) {
+  VCOMP_REQUIRE(base < vectors.size(), "load_lanes needs a vector to load");
+  const auto block =
+      vectors.subspan(base, std::min<std::size_t>(64, vectors.size() - base));
+  const netlist::Netlist& nl = sim.graph()->netlist();
+  for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
+    Word w = 0;
+    for (std::size_t k = 0; k < block.size(); ++k)
+      w |= Word{block[k].pi[i] != 0} << k;
+    sim.good().set_input(i, w);
+  }
+  for (std::size_t i = 0; i < nl.num_dffs(); ++i) {
+    Word w = 0;
+    for (std::size_t k = 0; k < block.size(); ++k)
+      w |= Word{block[k].ppi[i] != 0} << k;
+    sim.good().set_state(i, w);
+  }
+  return block.size() == 64 ? ~Word{0} : (Word{1} << block.size()) - 1;
+}
+
+std::vector<std::size_t> first_detections(DiffSimShards& sims,
+                                          const std::vector<Fault>& faults,
+                                          std::span<const std::size_t> targets,
+                                          std::span<const TestVector> vectors) {
+  std::vector<std::size_t> first(targets.size(), kUndetected);
+  std::size_t undetected = targets.size();
+  for (std::size_t base = 0; base < vectors.size() && undetected > 0;
+       base += 64) {
+    // Each shard writes only its own targets' entries.
+    util::parallel_for_shards(
+        targets.size(), sims.max_shards(),
+        [&](std::size_t shard, std::size_t b, std::size_t e) {
+          DiffSim& s = sims.at(shard);
+          const Word lanes = load_lanes(s, vectors, base);
+          s.commit_good();
+          for (std::size_t k = b; k < e; ++k) {
+            if (first[k] != kUndetected) continue;
+            const Word hit = s.simulate(faults[targets[k]]).any() & lanes;
+            if (hit != 0)
+              first[k] =
+                  base + static_cast<std::size_t>(std::countr_zero(hit));
+          }
+        });
+    undetected = static_cast<std::size_t>(
+        std::count(first.begin(), first.end(), kUndetected));
+  }
+  return first;
 }
 
 TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
@@ -160,35 +209,26 @@ TestSetResult generate_full_scan_tests(const netlist::Netlist& nl,
   }
 
   // ---- Reverse-order static compaction --------------------------------
+  // Walking the list backwards, a vector survives iff it detects a fault no
+  // later vector detects: on the reversed list, iff it is some detected
+  // fault's first detector.
   if (options.reverse_compaction && !result.vectors.empty()) {
-    std::vector<std::uint8_t> redetected(faults.size(), 0);
-    std::vector<TestVector> kept;
-    for (auto it = result.vectors.rbegin(); it != result.vectors.rend();
-         ++it) {
-      std::atomic<bool> useful{false};
-      util::parallel_for_shards(
-          faults.size(), sims.max_shards(),
-          [&](std::size_t shard, std::size_t b, std::size_t e) {
-            DiffSim& s = sims.at(shard);
-            load_vector(s, *it);
-            s.commit_good();
-            bool any = false;
-            for (std::size_t fi = b; fi < e; ++fi) {
-              if (!detected[fi] || redetected[fi]) continue;
-              if (s.simulate(faults[fi]).any() != 0) {
-                redetected[fi] = 1;
-                any = true;
-              }
-            }
-            if (any) useful.store(true, std::memory_order_relaxed);
-          });
-      if (useful.load(std::memory_order_relaxed))
-        kept.push_back(std::move(*it));
+    std::vector<std::size_t> targets;
+    for (std::size_t fi = 0; fi < faults.size(); ++fi)
+      if (detected[fi]) targets.push_back(fi);
+    std::reverse(result.vectors.begin(), result.vectors.end());
+    const auto first =
+        first_detections(sims, faults, targets, result.vectors);
+    std::vector<std::uint8_t> keep(result.vectors.size(), 0);
+    for (std::size_t k : first) {
+      // Compaction must not lose coverage.
+      VCOMP_ENSURE(k != kUndetected, "compaction lost fault coverage");
+      keep[k] = 1;
     }
-    std::reverse(kept.begin(), kept.end());
+    std::vector<TestVector> kept;
+    for (std::size_t k = result.vectors.size(); k-- > 0;)
+      if (keep[k]) kept.push_back(std::move(result.vectors[k]));
     result.vectors = std::move(kept);
-    // Compaction must not lose coverage.
-    VCOMP_ENSURE(redetected == detected, "compaction lost fault coverage");
   }
 
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {

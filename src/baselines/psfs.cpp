@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "vcomp/atpg/test_set.hpp"
 #include "vcomp/fault/fault_sim.hpp"
 #include "vcomp/util/assert.hpp"
 #include "vcomp/util/rng.hpp"
@@ -36,7 +35,8 @@ BaselineResult run_psfs(const netlist::Netlist& nl,
       ++remaining_count;
     }
 
-  DiffSim sim(nl);
+  fault::DiffSimShards sims(nl);
+  DiffSim& sim = sims.at(0);
   Rng rng(options.seed);
 
   // ---- parallel phase: broadcast-periodic random patterns ---------------
@@ -79,29 +79,7 @@ BaselineResult run_psfs(const netlist::Netlist& nl,
   }
 
   // ---- serial phase: cover the leftovers from the aTV pool --------------
-  for (const auto& v : baseline.vectors) {
-    if (remaining_count == 0) break;
-    atpg::load_vector(sim, v);
-    sim.commit_good();
-    bool useful = false;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (!remaining[i]) continue;
-      if (sim.simulate(faults[i]).any() != 0) {
-        remaining[i] = 0;
-        --remaining_count;
-        useful = true;
-      }
-    }
-    if (useful) ++res.full_vectors;
-  }
-  if (res.full_vectors > 0) {
-    res.cost.shift_cycles += (res.full_vectors + 1) * L;
-    res.cost.stim_bits += res.full_vectors * (npi + L);
-    res.cost.resp_bits += res.full_vectors * (npo + L);
-  }
-
-  res.uncovered = remaining_count;
-  finalize_ratios(res);
+  finish_serial(nl, faults, baseline, remaining, sims, res);
   return res;
 }
 

@@ -64,7 +64,8 @@ VirtualScanResult run_virtual_scan(const netlist::Netlist& nl,
   const auto eg = sim::EvalGraph::compile(nl);
   tmeas::Scoap scoap(*eg);
   atpg::Podem podem(eg, scoap);
-  DiffSim sim(eg);
+  fault::DiffSimShards sims(eg);
+  DiffSim& sim = sims.at(0);
   Rng rng(options.seed);
   const scan::Lfsr proto = scan::Lfsr::standard(lfsr_len);
 
@@ -152,29 +153,7 @@ VirtualScanResult run_virtual_scan(const netlist::Netlist& nl,
   }
 
   // Serial phase for the leftovers, from the aTV pool.
-  for (const auto& v : baseline.vectors) {
-    if (remaining_count == 0) break;
-    atpg::load_vector(sim, v);
-    sim.commit_good();
-    bool useful = false;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (!remaining[i]) continue;
-      if (sim.simulate(faults[i]).any() != 0) {
-        remaining[i] = 0;
-        --remaining_count;
-        useful = true;
-      }
-    }
-    if (useful) ++res.full_vectors;
-  }
-  if (res.full_vectors > 0) {
-    res.cost.shift_cycles += (res.full_vectors + 1) * L;
-    res.cost.stim_bits += res.full_vectors * (npi + L);
-    res.cost.resp_bits += res.full_vectors * (npo + L);
-  }
-
-  res.uncovered = remaining_count;
-  finalize_ratios(res);
+  finish_serial(nl, faults, baseline, remaining, sims, res);
   return res;
 }
 

@@ -2,10 +2,12 @@
 
 #include <map>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 
 #include "vcomp/atpg/engine.hpp"
+#include "vcomp/atpg/test_set.hpp"
 #include "vcomp/check/reference.hpp"
 #include "vcomp/core/selection.hpp"
 #include "vcomp/core/tracker.hpp"
@@ -851,14 +853,17 @@ std::optional<Failure> check_tracker(const Case& c) {
 
 namespace {
 
-/// Naive O(vectors × faults) Accidental Detection Index: one reference
-/// evaluation per (vector, fault) pair, single-pattern words, no graph, no
-/// shards, no pattern packing.  The independent half of check_adi.
-std::vector<std::uint32_t> ref_adi_counts(
+/// Naive O(vectors × faults) detection table: for each fault, the ascending
+/// indices of the vectors that detect it (its ADI is the count, its first
+/// detector the front).  One reference evaluation per (vector, fault) pair,
+/// single-pattern words, no graph, no shards, no pattern packing, no fault
+/// dropping.  The independent half of check_adi.
+std::vector<std::vector<std::size_t>> ref_detecting_vectors(
     const Netlist& nl, const std::vector<Fault>& faults,
     const std::vector<atpg::TestVector>& vectors) {
-  std::vector<std::uint32_t> counts(faults.size(), 0);
-  for (const auto& v : vectors) {
+  std::vector<std::vector<std::size_t>> detecting(faults.size());
+  for (std::size_t vi = 0; vi < vectors.size(); ++vi) {
+    const atpg::TestVector& v = vectors[vi];
     std::vector<Word> src(nl.num_gates(), 0);
     for (std::size_t i = 0; i < nl.num_inputs(); ++i)
       src[nl.inputs()[i]] = v.pi[i] ? ~Word{0} : Word{0};
@@ -880,10 +885,10 @@ std::vector<std::uint32_t> ref_adi_counts(
         if (ref_next_state(nl, good, nullptr, i) !=
             ref_next_state(nl, bad, &f, i))
           detected = true;
-      if (detected) ++counts[fi];
+      if (detected) detecting[fi].push_back(vi);
     }
   }
-  return counts;
+  return detecting;
 }
 
 }  // namespace
@@ -911,16 +916,27 @@ std::optional<Failure> check_adi(const Case& c, std::uint64_t seed,
   subset.reserve(idx.size());
   for (std::uint32_t i : idx) subset.push_back(c.faults[i]);
 
-  const auto fast =
-      core::adi_counts(sim::EvalGraph::compile(nl), subset, vectors);
-  const auto ref = ref_adi_counts(nl, subset, vectors);
-  for (std::size_t k = 0; k < subset.size(); ++k)
-    if (fast[k] != ref[k])
-      return fail("adi",
-                  "fault " + fault::fault_name(nl, subset[k]) + " adi " +
-                      std::to_string(fast[k]) + " vs reference " +
-                      std::to_string(ref[k]) + " over " +
-                      std::to_string(vectors.size()) + " vectors");
+  const auto eg = sim::EvalGraph::compile(nl);
+  const auto adi = core::adi_counts(eg, subset, vectors);
+  std::vector<std::size_t> targets(subset.size());
+  std::iota(targets.begin(), targets.end(), std::size_t{0});
+  fault::DiffSimShards sims(eg);
+  const auto first = atpg::first_detections(sims, subset, targets, vectors);
+  const auto ref = ref_detecting_vectors(nl, subset, vectors);
+  auto name = [](std::size_t v) {
+    return v == atpg::kUndetected ? std::string("none") : std::to_string(v);
+  };
+  for (std::size_t k = 0; k < subset.size(); ++k) {
+    const std::size_t ref_first =
+        ref[k].empty() ? atpg::kUndetected : ref[k].front();
+    if (adi[k] != ref[k].size() || first[k] != ref_first)
+      return fail("adi", "fault " + fault::fault_name(nl, subset[k]) +
+                             " adi " + std::to_string(adi[k]) +
+                             ", first detector " + name(first[k]) +
+                             " vs reference " + std::to_string(ref[k].size()) +
+                             ", " + name(ref_first) + " over " +
+                             std::to_string(vectors.size()) + " vectors");
+  }
   return std::nullopt;
 }
 

@@ -41,6 +41,7 @@ struct StitchMetrics {
   obs::Timer podem_seconds = obs::timer("stitch.podem_seconds");
   obs::Timer scoring_seconds = obs::timer("stitch.scoring_seconds");
   obs::Timer run_seconds = obs::timer("stitch.run_seconds");
+  obs::Timer ex_drop_seconds = obs::timer("stitch.ex_drop_seconds");
 };
 
 const StitchMetrics& stitch_metrics() {
@@ -123,7 +124,7 @@ PpiConstraints StitchEngine::constraints_for(const FabricState& state,
   return cons;
 }
 
-std::optional<StitchEngine::Candidate> StitchEngine::generate(
+std::optional<TestVector> StitchEngine::generate(
     const FaultSets& sets, const FabricState& state, const ShiftPlan& plan,
     bool first_vector) {
   PpiConstraints cons;
@@ -154,11 +155,7 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
     }
     return res;
   };
-  struct TargetCube {
-    Cube cube;
-    std::size_t target;
-  };
-  std::vector<TargetCube> cubes;
+  std::vector<Cube> cubes;
   const bool greedy = opts_.selection == SelectionPolicy::MostFaults;
   const std::size_t want = greedy ? opts_.most_faults_cubes : 1;
   const std::size_t n = order_.size();
@@ -181,7 +178,7 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
       if (greedy) cursor_ = (start + k + 1) % n;
       auto res = attempt(idx);
       if (res.status == PodemStatus::Success)
-        cubes.push_back({std::move(res.cube), idx});
+        cubes.push_back(std::move(res.cube));
       else
         tried_this_cycle_[idx] = cycle_stamp_;
     }
@@ -206,7 +203,7 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
         ++scanned;
         auto res = attempt(idx);
         if (res.status == PodemStatus::Success) {
-          cubes.push_back({std::move(res.cube), idx});
+          cubes.push_back(std::move(res.cube));
           if (greedy) cursor_ = (start + k + 1) % n;
           if (cubes.size() >= want) break;  // keep the greedy pick diverse
         } else {
@@ -218,42 +215,17 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   }
   if (cubes.empty()) return std::nullopt;
 
-  if (!greedy) {
-    Candidate c;
-    c.vector = atpg::fill_cube(cubes[0].cube, atpg::FillMode::Random, rng_);
-    c.target = cubes[0].target;
-    return c;
-  }
+  if (!greedy) return atpg::fill_cube(cubes[0], atpg::FillMode::Random, rng_);
 
   // MostFaults: complete every cube several ways and score all completions
   // in one 64-way pattern-parallel fault-simulation pass.
   const StitchMetrics& m = stitch_metrics();
   const obs::Span span("stitch.score", m.scoring_seconds, &scoring_seconds_);
-  std::vector<Candidate> cands;
-  for (const auto& tc : cubes) {
-    for (std::uint32_t f = 0; f < opts_.fills_per_cube && cands.size() < 64;
-         ++f) {
-      Candidate c;
-      c.vector = atpg::fill_cube(tc.cube, atpg::FillMode::Random, rng_);
-      c.target = tc.target;
-      cands.push_back(std::move(c));
-    }
-  }
-
-  pi_w_.resize(nl_->num_inputs());
-  ppi_w_.resize(nl_->num_dffs());
-  for (std::size_t i = 0; i < nl_->num_inputs(); ++i) {
-    Word w = 0;
-    for (std::size_t k = 0; k < cands.size(); ++k)
-      if (cands[k].vector.pi[i]) w |= Word{1} << k;
-    pi_w_[i] = w;
-  }
-  for (std::size_t i = 0; i < nl_->num_dffs(); ++i) {
-    Word w = 0;
-    for (std::size_t k = 0; k < cands.size(); ++k)
-      if (cands[k].vector.ppi[i]) w |= Word{1} << k;
-    ppi_w_[i] = w;
-  }
+  std::vector<TestVector> fills;
+  for (const Cube& cube : cubes)
+    for (std::uint32_t f = 0; f < opts_.fills_per_cube && fills.size() < 64;
+         ++f)
+      fills.push_back(atpg::fill_cube(cube, atpg::FillMode::Random, rng_));
 
   // Approximate per-flat-position observability for the scoring pass: a
   // single difference at position p of chain c is visible within that
@@ -293,22 +265,17 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
   // shard arrays are then summed.  Per-fault contributions are pure
   // functions of the fault index, so the totals are identical for every
   // thread count.
-  std::vector<std::uint32_t> score(cands.size(), 0);
-  const Word active =
-      cands.size() == 64 ? ~Word{0} : ((Word{1} << cands.size()) - 1);
+  std::vector<std::uint32_t> score(fills.size(), 0);
   // Shards with an empty range never run, so drop last cycle's counts.
   for (auto& sc : shard_scores_) sc.clear();
   util::parallel_for_shards(
       scored_.size(), ssims_.max_shards(),
       [&](std::size_t shard, std::size_t b, std::size_t e) {
         fault::DiffSim& sim = ssims_.at(shard);
-        for (std::size_t i = 0; i < pi_w_.size(); ++i)
-          sim.good().set_input(i, pi_w_[i]);
-        for (std::size_t i = 0; i < ppi_w_.size(); ++i)
-          sim.good().set_state(i, ppi_w_[i]);
+        const Word active = atpg::load_lanes(sim, fills, 0);
         sim.commit_good();
         auto& sc = shard_scores_[shard];
-        sc.assign(cands.size(), 0);
+        sc.assign(fills.size(), 0);
         for (std::size_t n_i = b; n_i < e; ++n_i) {
           const std::size_t i = scored_[n_i];
           const auto eff = sim.simulate((*faults_)[i]);
@@ -331,10 +298,10 @@ std::optional<StitchEngine::Candidate> StitchEngine::generate(
     for (std::size_t k = 0; k < sc.size(); ++k) score[k] += sc[k];
 
   std::size_t best = 0;
-  for (std::size_t k = 1; k < cands.size(); ++k)
+  for (std::size_t k = 1; k < fills.size(); ++k)
     if (score[k] > score[best]) best = k;
-  m.candidates_scored.add(cands.size());
-  return std::move(cands[best]);
+  m.candidates_scored.add(fills.size());
+  return std::move(fills[best]);
 }
 
 StitchResult StitchEngine::run() {
@@ -355,13 +322,14 @@ StitchResult StitchEngine::run() {
   res.schedule.num_chains = fabric_.num_chains();
   res.schedule.partition = fabric_.policy();
   res.schedule.partition_seed = fabric_.seed();
-  res.schedule.kind =
-      !opts_.schedule_label.empty()
-          ? opts_.schedule_label
-          : (opts_.shift_schedule.empty()
-                 ? (opts_.fixed_shift > 0 ? "fixed" : "variable")
-                 : "schedule") +
-                ("+" + to_string(opts_.selection));
+  res.schedule.kind = opts_.schedule_label;
+  if (res.schedule.kind.empty()) {
+    res.schedule.kind = opts_.shift_schedule.empty()
+                            ? (opts_.fixed_shift > 0 ? "fixed" : "variable")
+                            : "schedule";
+    res.schedule.kind += '+';
+    res.schedule.kind += to_string(opts_.selection);
+  }
 
   // Track everything except proven redundancies (which no vector can ever
   // differentiate).
@@ -449,16 +417,16 @@ StitchResult StitchEngine::run() {
 
     CycleStats st;
     if (first) {
-      st = tracker.apply_first(cand->vector);
+      st = tracker.apply_first(*cand);
       meter.initial_load();
-      res.schedule.vectors.push_back(std::move(cand->vector));
+      res.schedule.vectors.push_back(std::move(*cand));
       res.schedule.shifts.push_back(L);
       if (multi) res.schedule.plans.push_back(fabric_.plan_for(L));
     } else {
-      st = tracker.apply_stitched(cand->vector, plan);
+      st = tracker.apply_stitched(*cand, plan);
       meter.stitched_cycle(plan);
       last_shift = s;
-      res.schedule.vectors.push_back(std::move(cand->vector));
+      res.schedule.vectors.push_back(std::move(*cand));
       res.schedule.shifts.push_back(s);
       if (multi) res.schedule.plans.push_back(plan);
     }
@@ -493,49 +461,24 @@ StitchResult StitchEngine::run() {
     (void)flushed;
 
     // Cover the leftovers with traditional vectors drawn from the baseline
-    // pool (greedy, with fault dropping).  The per-vector detection scan
-    // runs sharded over the thread pool: each shard drives a private
-    // DiffSim loaded with the same vector and writes its slots of the
-    // verdict buffer; the serial merge below walks the buffer in index
-    // order, so catches and the retained `remaining` order are identical
-    // for every thread count.
-    const obs::Span drop_span("stitch.ex_drop",
+    // pool (greedy, with fault dropping): a vector joins `extra` iff it is
+    // some remaining fault's first detector.
+    const obs::Span drop_span("stitch.ex_drop", m.ex_drop_seconds,
                               &res.profile.terminal_seconds);
-    std::size_t ex = 0;
-    for (const auto& bv : baseline_->vectors) {
-      if (remaining.empty()) break;
-      drop_hit_.assign(remaining.size(), 0);
-      util::parallel_for_shards(
-          remaining.size(), ssims_.max_shards(),
-          [&](std::size_t shard, std::size_t b, std::size_t e) {
-            fault::DiffSim& sim = ssims_.at(shard);
-            atpg::load_vector(sim, bv);
-            sim.commit_good();
-            for (std::size_t n = b; n < e; ++n)
-              drop_hit_[n] =
-                  sim.simulate((*faults_)[remaining[n]]).any() != 0 ? 1 : 0;
-          });
-      bool useful = false;
-      std::size_t kept = 0;
-      for (std::size_t n = 0; n < remaining.size(); ++n) {
-        if (drop_hit_[n]) {
-          tracker.catch_externally(remaining[n]);
-          ++res.caught_extra;
-          useful = true;
-        } else {
-          remaining[kept++] = remaining[n];
-        }
-      }
-      remaining.resize(kept);
-      if (useful) {
-        ++ex;
-        res.schedule.extra.push_back(bv);
-      }
+    const auto first = atpg::first_detections(ssims_, faults_->faults(),
+                                               remaining, baseline_->vectors);
+    std::vector<std::uint8_t> used(baseline_->vectors.size(), 0);
+    for (std::size_t n = 0; n < remaining.size(); ++n) {
+      VCOMP_ENSURE(first[n] != atpg::kUndetected,
+                   "baseline pool failed to cover remaining faults");
+      tracker.catch_externally(remaining[n]);
+      used[first[n]] = 1;
     }
-    res.extra_full_vectors = ex;
-    meter.extra_full_vectors(ex);
-    VCOMP_ENSURE(remaining.empty(),
-                 "baseline pool failed to cover remaining faults");
+    res.caught_extra = remaining.size();
+    for (std::size_t k = 0; k < used.size(); ++k)
+      if (used[k]) res.schedule.extra.push_back(baseline_->vectors[k]);
+    res.extra_full_vectors = res.schedule.extra.size();
+    meter.extra_full_vectors(res.extra_full_vectors);
   } else if (tracker.sets().num_hidden() > 0) {
     // All of f_u is covered; observe the still-hidden faults.  Prefer the
     // cheap partial observation when it provably catches all of them.

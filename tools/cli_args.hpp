@@ -25,6 +25,9 @@ inline std::size_t parse_count(
   if (hi != std::numeric_limits<std::size_t>::max())
     std::fprintf(stderr, "error: %s expects an integer in [%zu, %zu], "
                  "got \"%s\"\n", flag, lo, hi, value);
+  else if (lo > 1)
+    std::fprintf(stderr, "error: %s expects an integer >= %zu, got \"%s\"\n",
+                 flag, lo, value);
   else
     std::fprintf(stderr, "error: %s expects a %s integer, got \"%s\"\n",
                  flag, lo > 0 ? "positive" : "non-negative", value);

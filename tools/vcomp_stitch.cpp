@@ -13,9 +13,9 @@
 //                         per-cycle shift schedule with the genetic search
 //                         (core/ga_schedule) and apply the winner
 //     --info <r>          fixed shift at info point r in (0,1]
-//     --ga-pop <n>        GA population size (default 12)
+//     --ga-pop <n>        GA population size (default 12, at least 3)
 //     --ga-gens <n>       GA generations (default 8)
-//     --ga-genes <n>      GA chromosome length (default 10)
+//     --ga-genes <n>      GA chromosome length (default 10, at least 1)
 //     --chains <n>        split the scan fabric into n parallel chains
 //                         (default 1: the classic single-chain flow)
 //     --partition <p>     round-robin (default) | contiguous | random
@@ -173,9 +173,10 @@ int main(int argc, char** argv) {
     } else if (a == "--full-scale")
       config.set("full_scale", serve::Json::boolean(true));
     else if (a == "--out") out_path = need("--out");
-    else if (a == "--ga-pop") gopts.population = count("--ga-pop");
+    else if (a == "--ga-pop")  // the elites must leave room to breed
+      gopts.population = count("--ga-pop", gopts.elite + 1);
     else if (a == "--ga-gens") gopts.generations = count("--ga-gens");
-    else if (a == "--ga-genes") gopts.genes = count("--ga-genes");
+    else if (a == "--ga-genes") gopts.genes = count("--ga-genes", 1);
     else if (a == "--threads")
       util::ThreadPool::instance().configure(
           count("--threads", 0, util::kMaxParallelism));
